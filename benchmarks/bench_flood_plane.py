@@ -116,7 +116,6 @@ def _emit(
         "loss_rate": spec.loss_rate,
         "jitter_ms": spec.jitter_ms,
         "channel_version": spec.channel_version,
-        "channel_backend": record_run.get("channel_backend"),
         "rounds": rounds,
         "frames_sent": record_run["frames_sent"],
         "matches": record_run["matches"],

@@ -1,20 +1,12 @@
-"""Datagram-runtime cost: codec overhead per hop and end-to-end impact.
+"""Datagram-runtime cost: the frame codec per hop.
 
-Three measurements future PRs can regress against:
-
-1. ``test_codec_microbench`` prices the per-hop codec work in isolation:
-   request-frame decode (envelope + payload), reply-frame encode/decode,
-   and the relay fast path (``reframe``: patch two routing bytes, refresh
-   the CRC).  Asserts throughput floors so a regression that makes frames
-   an order of magnitude slower fails loudly.
-2. ``test_wire_vs_object_baseline`` runs the same 20-episode scenario
-   through the bytes-on-the-wire engine and the ``wire=False``
-   object-passing baseline (the pre-datagram hot path, kept exactly for
-   this comparison), asserts the protocol outputs are byte-identical, and
-   asserts the codec's end-to-end overhead stays under
-   ``WIRE_OVERHEAD_CEILING`` (wall-clock ratio wire/objects).
-3. Both emit ``PERF_RECORD`` JSON lines for ``BENCH_crypto.json`` via
-   ``tools/bench_record.py`` (the CI perf-smoke job appends them).
+``test_codec_microbench`` prices the per-hop codec work in isolation:
+request-frame decode (envelope + payload), reply-frame encode/decode, and
+the relay fast path (``reframe``: patch two routing bytes, refresh the
+CRC).  It asserts throughput floors so a regression that makes frames an
+order of magnitude slower fails loudly, and emits a ``PERF_RECORD`` JSON
+line for ``BENCH_crypto.json`` via ``tools/bench_record.py`` (the CI
+perf-smoke job appends it).
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_wire_runtime.py -s
 """
@@ -26,8 +18,8 @@ import os
 import random
 import time
 
-from repro.core.attributes import Profile, RequestProfile
-from repro.core.protocols import Initiator, Participant, Reply
+from repro.core.attributes import RequestProfile
+from repro.core.protocols import Initiator, Reply
 from repro.core.wire import (
     decode_frame,
     decode_payload,
@@ -35,19 +27,7 @@ from repro.core.wire import (
     encode_request_frame,
     reframe,
 )
-from repro.crypto.backend import current_backend
-from repro.network.engine import FriendingEngine
-from repro.network.simulator import AdHocNetwork
-from repro.network.topology import random_geometric_topology
 
-N_NODES = 100
-N_EPISODES = 20
-# Wall-clock ratio (bytes-on-the-wire engine) / (object-passing baseline).
-# Locally the codec costs a few percent of an episode (crypto dominates);
-# the ceiling is generous so shared-runner noise cannot flake it, while a
-# codec catastrophe (accidental per-hop re-encode of the payload, say)
-# still trips it.
-WIRE_OVERHEAD_CEILING = float(os.environ.get("WIRE_OVERHEAD_CEILING", "1.6"))
 # Floors in frames/second; measured values are ~100x higher locally.
 DECODE_FLOOR = float(os.environ.get("WIRE_DECODE_FLOOR", "2000"))
 REFRAME_FLOOR = float(os.environ.get("WIRE_REFRAME_FLOOR", "20000"))
@@ -116,95 +96,5 @@ def test_codec_microbench():
     assert reframe_rate >= REFRAME_FLOOR
 
 
-def _build_network(rng: random.Random):
-    adjacency, _ = random_geometric_topology(N_NODES, 0.18, seed=11)
-    nodes = list(adjacency)
-    participants = {}
-    for i, node in enumerate(nodes):
-        community = i % N_EPISODES
-        attrs = [f"c{community}:tag{j}" for j in range(3)] + [f"noise:{node}"]
-        participants[node] = Participant(
-            Profile(attrs, user_id=node, normalized=True), rng=rng
-        )
-    return AdHocNetwork(adjacency, participants), nodes
-
-
-def _launches(nodes):
-    launches = []
-    for episode in range(N_EPISODES):
-        request = RequestProfile(
-            necessary=[f"c{episode}:tag0"],
-            optional=[f"c{episode}:tag1", f"c{episode}:tag2"],
-            beta=1,
-            normalized=True,
-        )
-        launches.append((
-            nodes[episode * (len(nodes) // N_EPISODES)],
-            Initiator(request, protocol=2, rng=random.Random(500 + episode)),
-        ))
-    return launches
-
-
-def _fingerprints(result):
-    return [
-        (
-            ep.episode,
-            ep.completed_at_ms,
-            ep.matched_ids,
-            [(m.responder_id, m.y, m.session_key) for m in ep.matches],
-            [r.elements for r in ep.replies],
-            tuple(sorted(ep.metrics.as_dict().items())),
-        )
-        for ep in result.episodes
-    ]
-
-
-def test_wire_vs_object_baseline():
-    """End-to-end: frames vs object passing -- identical results, bounded cost."""
-    def run(wire: bool):
-        network, nodes = _build_network(random.Random(23))
-        engine = FriendingEngine(network, wire=wire)
-        start = time.perf_counter()
-        result = engine.run_staggered(_launches(nodes), arrival_ms=25)
-        return result, time.perf_counter() - start
-
-    # Warm-up interleaved with measurement: best-of-3 per arm smooths the
-    # shared-runner noise without hiding a systematic regression.
-    wire_walls, object_walls = [], []
-    for _ in range(3):
-        wire_result, wall = run(wire=True)
-        wire_walls.append(wall)
-        object_result, wall = run(wire=False)
-        object_walls.append(wall)
-
-    assert _fingerprints(wire_result) == _fingerprints(object_result), (
-        "bytes-on-the-wire engine and object baseline diverged"
-    )
-
-    wire_wall = min(wire_walls)
-    object_wall = min(object_walls)
-    overhead = wire_wall / object_wall
-    total = wire_result.aggregate.total
-    record = {
-        "bench": "wire_runtime_end_to_end",
-        "nodes": N_NODES,
-        "episodes": N_EPISODES,
-        "frames_sent": total.frames_sent,
-        "frame_bytes": total.frame_bytes,
-        "wire_wall_seconds": round(wire_wall, 4),
-        "object_wall_seconds": round(object_wall, 4),
-        "codec_overhead_ratio": round(overhead, 3),
-        "frames_per_wall_sec": round(total.frames_sent / wire_wall),
-        "backend": current_backend().name,
-    }
-    print("PERF_RECORD " + json.dumps(record))
-
-    assert total.frames_sent > 0 and total.frame_bytes > 0
-    assert overhead <= WIRE_OVERHEAD_CEILING, (
-        f"codec overhead {overhead:.2f}x exceeds ceiling {WIRE_OVERHEAD_CEILING}x"
-    )
-
-
 if __name__ == "__main__":  # pragma: no cover
     test_codec_microbench()
-    test_wire_vs_object_baseline()

@@ -8,7 +8,7 @@ the runner writes to ``results/``.
 
 Equivalent CLI:
 
-    sealed-bottle experiments run examples/specs/lossy_city.json
+    repro experiments run examples/specs/lossy_city.json
 
 Everything is deterministic: frame fates hash from (seed, flow, link,
 seq), so re-running reproduces these numbers exactly.

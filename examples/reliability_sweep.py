@@ -15,7 +15,7 @@ via ``tools/bench_record.py`` (the perf-smoke CI wiring).
 
 Equivalent CLI:
 
-    sealed-bottle experiments run examples/specs/reliability_city.json
+    repro experiments run examples/specs/reliability_city.json
 
 Everything is deterministic: frame, segment and parity fates all hash
 from (seed, flow, link, seq), so re-running reproduces these numbers

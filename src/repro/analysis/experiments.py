@@ -40,7 +40,6 @@ from typing import Any, Mapping
 from repro.core.attributes import Profile, RequestProfile
 from repro.core.protocols import Initiator, Participant, Reply
 from repro.crypto.backend import available_backends, use_backend
-from repro.network.channel_backend import current_channel_backend
 from repro.network.channel_model import CHANNEL_VERSIONS, ChannelModel
 from repro.network.churn import (
     SCENARIO_CHURN_SLEEP_MS,
@@ -821,12 +820,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "reliability": spec.reliability,
         "profile": spec.profile,
         "channel_version": spec.channel_version,
-        # Backend choice is bit-transparent (pure == numpy, pinned by the
-        # equivalence tests), so this is provenance for perf comparisons,
-        # not part of the result's identity.  v1 has no backend seam.
-        "channel_backend": (
-            current_channel_backend().name if spec.channel_version == 2 else None
-        ),
         "attackers": attacker_counts,
         "arrival_ms": spec.arrival_ms,
         "mean_degree": round(mean_degree, 2),

@@ -1,6 +1,7 @@
 """Command-line interface: demos, population statistics, experiments.
 
-Installed as ``sealed-bottle`` (see pyproject).  Subcommands:
+Installed as the ``repro`` command (``pyproject.toml``'s
+``[project.scripts]``); ``python -m repro.cli`` runs the same.  Subcommands:
 
 - ``demo``         one friending exchange, verbose.
 - ``population``   generate a calibrated population and print its statistics.
@@ -44,9 +45,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The sealed-bottle argument parser."""
+    """The ``repro`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="sealed-bottle",
+        prog="repro",
         description="Privacy-preserving friending (Zhang & Li, ICDCS 2013) -- reproduction CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -632,7 +633,7 @@ def _cmd_profiles(args) -> int:
         rows,
     ))
     print()
-    print("run one with: sealed-bottle simulate --profile NAME "
+    print("run one with: repro simulate --profile NAME "
           "(explicit simulate flags override profile settings)")
     return 0
 

@@ -16,7 +16,7 @@ This package proves the SBFM wire spec is complete enough to
 - :mod:`repro.conformance.mutants` — deliberately-broken minipeer
   variants proving the suite actually fails on spec violations.
 
-CLI entry: ``sealed-bottle conformance run [--suite NAME] [--out-dir D]``.
+CLI entry: ``repro conformance run [--suite NAME] [--out-dir D]``.
 """
 
 from repro.conformance.harness import (

@@ -1,4 +1,4 @@
-"""Pluggable fate-stream backends for the v2 channel plane.
+"""The fate stream of the v2 channel plane.
 
 :class:`~repro.network.channel_model.ChannelModel` version 2 derives every
 per-link fate (drop/dup/reorder/corrupt decisions, jitter draws, the
@@ -9,8 +9,8 @@ of reseeding a scratch Mersenne-Twister per transmission:
   ``SHA-256(prefix || dst32 || c)``, where ``prefix`` is the 76-byte
   ``seed | seq | flow32 | src32`` broadcast prefix, ``dst32`` /
   ``src32`` / ``flow32`` are SHA-256 digests of the node ids / flow id
-  (fixed-width, so the 112-byte message layout is static and
-  vectorisable) and ``c`` a 32-bit big-endian counter;
+  (fixed-width, so the 112-byte message layout is static) and ``c`` a
+  32-bit big-endian counter;
 - each block is consumed as eight big-endian 32-bit words, in order,
   rolling into block ``c+1`` when exhausted;
 - a probability ``p`` decision fires when ``word < round(p * 2**32)``,
@@ -20,34 +20,13 @@ of reseeding a scratch Mersenne-Twister per transmission:
 The word-consumption order per link is fixed by :func:`_link_fate` (the
 executable reference): drop, dup, then per delivered copy jitter draw(s),
 reorder decision, corrupt decision and bit draw(s) -- draws gated off by a
-zero parameter consume nothing.  Both backends implement exactly this
-stream, so backend choice can never change a fate:
-
-``pure`` (default)
-    :func:`_link_fate` unrolled over :mod:`hashlib` with the broadcast
-    prefix absorbed into one copied SHA-256 state: a single short hash
-    call per link in the common case.  This is what breaks the v1
-    reseed wall, and at flood fan-outs (mean degree ~13) it is also the
-    fastest implementation available to CPython.
-
-``numpy`` (optional)
-    A from-scratch SHA-256 compression function over ``uint32`` lanes:
-    one vectorised pass computes every link's keystream block (the
-    shared 64-byte prefix head collapses to one midstate), and the
-    decision cascade -- including the jitter/bit rejection loops --
-    runs as masked array ops.  Bit-identical to ``pure`` (pinned by
-    hypothesis equivalence in ``tests/network/test_channel_backend.py``).
-    The constant cost of a vectorised compression (~3k array ops) only
-    amortises at fan-outs in the thousands, so it is an opt-in for
-    dense-broadcast studies, not the default; when numpy is missing the
-    module records why (:func:`numpy_unavailable_reason`) and
-    :func:`select_channel_backend` falls back to ``pure`` with that
-    reason, so tier-1 environments never require numpy.
-
-The registry API mirrors :mod:`repro.crypto.backend` (``available`` /
-``get`` / ``set`` / ``use`` / ``current``), with one addition --
-:func:`select_channel_backend` -- for callers that want the recorded
-fallback instead of a hard error.
+zero parameter consume nothing.  :func:`broadcast_fates` is the one
+implementation the channel calls: the reference unrolled over
+:mod:`hashlib`, with the broadcast prefix absorbed into one copied
+SHA-256 state, so the common fate costs a single short hash call per
+link.  Vectorising the stream does not pay at this repo's fan-outs: a
+numpy version lost to this loop at every fan-out up to 1000
+(``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -55,38 +34,14 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
 from typing import NamedTuple
 
-__all__ = [
-    "ChannelBackend",
-    "FateParams",
-    "NumpyChannelBackend",
-    "PureChannelBackend",
-    "available_channel_backends",
-    "current_channel_backend",
-    "fate_threshold",
-    "get_channel_backend",
-    "numpy_unavailable_reason",
-    "select_channel_backend",
-    "set_channel_backend",
-    "use_channel_backend",
-]
-
-DEFAULT_CHANNEL_BACKEND = "pure"
+__all__ = ["FateParams", "broadcast_fates", "fate_threshold"]
 
 PREFIX_LEN = 12 + 32 + 32  # struct.pack(">qI", seed, seq) || flow32 || src32
 
 _WORDS = struct.Struct(">8I")
 _CTR0 = b"\x00\x00\x00\x00"
-
-try:
-    import numpy as _np
-
-    _NUMPY_ERROR: str | None = None
-except ImportError as exc:  # pragma: no cover -- the numpy-free CI job
-    _np = None
-    _NUMPY_ERROR = f"{type(exc).__name__}: {exc}"
 
 
 def fate_threshold(rate: float) -> int:
@@ -100,7 +55,7 @@ def fate_threshold(rate: float) -> int:
 
 
 class FateParams(NamedTuple):
-    """Precomputed draw parameters one :class:`ChannelModel` hands backends.
+    """Precomputed draw parameters one :class:`ChannelModel` hands the stream.
 
     Thresholds are :func:`fate_threshold` of the corresponding rate; a
     zero threshold gates the decision's word consumption off entirely
@@ -143,9 +98,9 @@ def _link_fate(
 
     Returns ``()`` for a dropped transmission, else one
     ``(extra_delay_ms, corrupt_bit)`` pair per delivered copy
-    (``corrupt_bit`` is ``-1`` for a clean copy).  Every backend must
-    reproduce this function word for word; the equivalence tests pin
-    both implementations below against it.
+    (``corrupt_bit`` is ``-1`` for a clean copy).
+    :func:`broadcast_fates` must reproduce this function word for word;
+    the equivalence tests pin it against this reference.
     """
     take = _keystream_words(prefix, dst32).__next__
     if take() < params.drop_t:
@@ -172,391 +127,93 @@ def _link_fate(
     return tuple(fate)
 
 
-class ChannelBackend:
-    """Interface every channel-fate backend implements.
+def broadcast_fates(
+    prefix: bytes,
+    dst_digests: Sequence[bytes],
+    params: FateParams,
+    frame_bits: int,
+) -> list[tuple[tuple[int, int], ...]]:
+    """One broadcast's per-link fates: :func:`_link_fate` over hashlib.
 
-    ``broadcast_fates`` computes one broadcast's per-link fates:
     *prefix* is the :data:`PREFIX_LEN`-byte broadcast prefix
     (``seed | seq | flow32 | src32``) and *dst_digests* the 32-byte
     destination-id digests, in delivery order.  *frame_bits* bounds the
-    corrupted-bit draw (``max(1, 8 * frame length)``).  Backends are
-    stateless, so one instance can be shared freely.
+    corrupted-bit draw (``max(1, 8 * frame length)``).
+
+    The prefix is absorbed into one SHA-256 state and copied per
+    destination (the same trick the v1 batched path uses), so the common
+    lossy-flood fate -- first keystream block covers every draw -- costs
+    exactly one short hash call per link.  Block refills (heavy configs,
+    rejection-loop spills) recompute from the copied prefix state, which
+    the equivalence tests pin against the rolling reference stream.
     """
+    unpack = _WORDS.unpack
+    prefix_copy = hashlib.sha256(prefix).copy
+    (
+        drop_t, dup_t, reorder_t, corrupt_t,
+        jitter_n, jitter_mask, reorder_delay_ms,
+    ) = params
+    has_jitter = jitter_n > 1
+    bit_mask = (1 << (frame_bits - 1).bit_length()) - 1
+    def refill(dst32: bytes, counter: int) -> tuple[int, ...]:
+        h = prefix_copy()
+        h.update(dst32)
+        h.update(counter.to_bytes(4, "big"))
+        return unpack(h.digest())
 
-    name: str = "abstract"
-
-    def broadcast_fates(
-        self,
-        prefix: bytes,
-        dst_digests: Sequence[bytes],
-        params: FateParams,
-        frame_bits: int,
-    ) -> list[tuple[tuple[int, int], ...]]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover -- debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class PureChannelBackend(ChannelBackend):
-    """:func:`_link_fate` unrolled over hashlib: the default hot path.
-
-    The broadcast prefix is absorbed into one SHA-256 state and copied
-    per destination (the same trick the v1 batched path uses), so the
-    common lossy-flood fate -- first keystream block covers every draw
-    -- costs exactly one short hash call per link.  Block refills
-    (heavy configs, rejection-loop spills) recompute from the copied
-    prefix state, which the equivalence tests pin against the rolling
-    reference stream.
-    """
-
-    name = "pure"
-
-    def broadcast_fates(
-        self,
-        prefix: bytes,
-        dst_digests: Sequence[bytes],
-        params: FateParams,
-        frame_bits: int,
-    ) -> list[tuple[tuple[int, int], ...]]:
-        unpack = _WORDS.unpack
-        prefix_copy = hashlib.sha256(prefix).copy
-        (
-            drop_t, dup_t, reorder_t, corrupt_t,
-            jitter_n, jitter_mask, reorder_delay_ms,
-        ) = params
-        has_jitter = jitter_n > 1
-        bit_mask = (1 << (frame_bits - 1).bit_length()) - 1
-        def refill(dst32: bytes, counter: int) -> tuple[int, ...]:
-            h = prefix_copy()
-            h.update(dst32)
-            h.update(counter.to_bytes(4, "big"))
-            return unpack(h.digest())
-
-        out: list[tuple[tuple[int, int], ...]] = []
-        append = out.append
-        for dst32 in dst_digests:
-            h = prefix_copy()
-            h.update(dst32)
-            h.update(_CTR0)
-            words = unpack(h.digest())
-            if words[0] < drop_t:
-                append(())
-                continue
-            copies = 2 if words[1] < dup_t else 1
-            idx = 2
-            counter = 0
-            fate = []
-            for _ in range(copies):
-                extra = 0
-                if has_jitter:
+    out: list[tuple[tuple[int, int], ...]] = []
+    append = out.append
+    for dst32 in dst_digests:
+        h = prefix_copy()
+        h.update(dst32)
+        h.update(_CTR0)
+        words = unpack(h.digest())
+        if words[0] < drop_t:
+            append(())
+            continue
+        copies = 2 if words[1] < dup_t else 1
+        idx = 2
+        counter = 0
+        fate = []
+        for _ in range(copies):
+            extra = 0
+            if has_jitter:
+                while True:
+                    if idx == 8:
+                        counter += 1
+                        words = refill(dst32, counter)
+                        idx = 0
+                    r = words[idx] & jitter_mask
+                    idx += 1
+                    if r < jitter_n:
+                        extra = r
+                        break
+            if reorder_t:
+                if idx == 8:
+                    counter += 1
+                    words = refill(dst32, counter)
+                    idx = 0
+                if words[idx] < reorder_t:
+                    extra += reorder_delay_ms
+                idx += 1
+            bit = -1
+            if corrupt_t:
+                if idx == 8:
+                    counter += 1
+                    words = refill(dst32, counter)
+                    idx = 0
+                hit = words[idx] < corrupt_t
+                idx += 1
+                if hit:
                     while True:
                         if idx == 8:
                             counter += 1
                             words = refill(dst32, counter)
                             idx = 0
-                        r = words[idx] & jitter_mask
+                        bit = words[idx] & bit_mask
                         idx += 1
-                        if r < jitter_n:
-                            extra = r
+                        if bit < frame_bits:
                             break
-                if reorder_t:
-                    if idx == 8:
-                        counter += 1
-                        words = refill(dst32, counter)
-                        idx = 0
-                    if words[idx] < reorder_t:
-                        extra += reorder_delay_ms
-                    idx += 1
-                bit = -1
-                if corrupt_t:
-                    if idx == 8:
-                        counter += 1
-                        words = refill(dst32, counter)
-                        idx = 0
-                    hit = words[idx] < corrupt_t
-                    idx += 1
-                    if hit:
-                        while True:
-                            if idx == 8:
-                                counter += 1
-                                words = refill(dst32, counter)
-                                idx = 0
-                            bit = words[idx] & bit_mask
-                            idx += 1
-                            if bit < frame_bits:
-                                break
-                fate.append((extra, bit))
-            append(tuple(fate))
-        return out
-
-
-# -- numpy backend -----------------------------------------------------------
-
-if _np is not None:
-    _K64 = _np.array(
-        [
-            0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5,
-            0x3956C25B, 0x59F111F1, 0x923F82A4, 0xAB1C5ED5,
-            0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
-            0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174,
-            0xE49B69C1, 0xEFBE4786, 0x0FC19DC6, 0x240CA1CC,
-            0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-            0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7,
-            0xC6E00BF3, 0xD5A79147, 0x06CA6351, 0x14292967,
-            0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
-            0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85,
-            0xA2BFE8A1, 0xA81A664B, 0xC24B8B70, 0xC76C51A3,
-            0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-            0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5,
-            0x391C0CB3, 0x4ED8AA4A, 0x5B9CCA4F, 0x682E6FF3,
-            0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-            0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-        ],
-        dtype=_np.uint32,
-    )
-    _H0_8 = _np.array(
-        [
-            0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-            0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-        ],
-        dtype=_np.uint32,
-    )
-
-    def _rotr(x, n: int):
-        u = _np.uint32
-        return (x >> u(n)) | (x << u(32 - n))
-
-    def _sha_compress(state, blocks):
-        """One SHA-256 compression across lanes.
-
-        *state* is ``(8,)`` (shared chaining value) or ``(N, 8)`` (one
-        per lane); *blocks* is ``(N, 16)`` big-endian message words as
-        native ``uint32``.  Returns ``(N, 8)``.  All arithmetic stays in
-        ``uint32`` lanes, wrapping mod 2**32 exactly like the scalar
-        reference in :mod:`repro.crypto.sha256`.
-        """
-        np = _np
-        u = np.uint32
-        # Lift a shared (8,) state to one row per lane: keeping every
-        # operand a true array (never a 0-d numpy scalar) lets the uint32
-        # arithmetic wrap silently instead of raising overflow warnings.
-        state = np.broadcast_to(state, (blocks.shape[0], 8))
-        w = [blocks[:, i] for i in range(16)]
-        for i in range(16, 64):
-            x = w[i - 15]
-            y = w[i - 2]
-            s0 = _rotr(x, 7) ^ _rotr(x, 18) ^ (x >> u(3))
-            s1 = _rotr(y, 17) ^ _rotr(y, 19) ^ (y >> u(10))
-            w.append(w[i - 16] + s0 + w[i - 7] + s1)
-        init = [state[:, i] for i in range(8)]
-        a, b, c, d, e, f, g, h = init
-        for i in range(64):
-            s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-            ch = (e & f) ^ (~e & g)
-            t1 = h + s1 + ch + _K64[i] + w[i]
-            s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            t2 = s0 + maj
-            h, g, f, e, d, c, b, a = g, f, e, d + t1, c, b, a, t1 + t2
-        final = (a, b, c, d, e, f, g, h)
-        return np.stack(
-            [init[i] + final[i] for i in range(8)], axis=-1
-        ).astype(np.uint32)
-
-
-class NumpyChannelBackend(ChannelBackend):
-    """Whole-broadcast fate computation as ``uint32`` array lanes.
-
-    One lane per destination: the shared 64-byte prefix head collapses
-    to a single midstate compression, each keystream block
-    (``prefix tail | dst32 | counter`` plus fixed padding) is one
-    vectorised compression over all lanes that need it, and the
-    decision cascade runs on per-lane word cursors with masked refills
-    (rejection loops iterate ``while any lane still rejects``).  The
-    per-lane word order is identical to :func:`_link_fate`, which is
-    what makes the backends bit-identical.
-    """
-
-    name = "numpy"
-
-    def _keystream_blocks(self, mid, tail, dst_rows, counters):
-        """Stream block per lane: ``(m, 8)`` words for ``(m, 8)`` digests."""
-        np = _np
-        blk = np.zeros((dst_rows.shape[0], 16), np.uint32)
-        blk[:, 0:3] = tail
-        blk[:, 3:11] = dst_rows
-        blk[:, 11] = counters
-        blk[:, 12] = np.uint32(0x80000000)
-        blk[:, 15] = np.uint32((PREFIX_LEN + 32 + 4) * 8)
-        return _sha_compress(mid, blk)
-
-    def broadcast_fates(
-        self,
-        prefix: bytes,
-        dst_digests: Sequence[bytes],
-        params: FateParams,
-        frame_bits: int,
-    ) -> list[tuple[tuple[int, int], ...]]:
-        np = _np
-        if len(prefix) != PREFIX_LEN:
-            raise ValueError(
-                f"v2 broadcast prefix must be {PREFIX_LEN} bytes, got {len(prefix)}"
-            )
-        n = len(dst_digests)
-        if n == 0:
-            return []
-        mid = _sha_compress(
-            _H0_8,
-            np.frombuffer(prefix[:64], dtype=">u4").astype(np.uint32).reshape(1, 16),
-        )[0]
-        tail = np.frombuffer(prefix[64:], dtype=">u4").astype(np.uint32)
-        dst_rows = (
-            np.frombuffer(b"".join(dst_digests), dtype=">u4")
-            .astype(np.uint32)
-            .reshape(n, 8)
-        )
-        words = self._keystream_blocks(mid, tail, dst_rows, np.zeros(n, np.uint32))
-        ptr = np.zeros(n, np.int64)
-        counters = np.zeros(n, np.uint32)
-        lanes = np.arange(n)
-
-        def take(mask):
-            """Next stream word for every lane in *mask* (uint64 values)."""
-            need = mask & (ptr >= 8)
-            if need.any():
-                rows = lanes[need]
-                counters[rows] += np.uint32(1)
-                words[rows] = self._keystream_blocks(
-                    mid, tail, dst_rows[rows], counters[rows]
-                )
-                ptr[rows] = 0
-            w = words[lanes, np.minimum(ptr, 7)]
-            ptr[mask] += 1
-            return w.astype(np.uint64)
-
-        def rejection_draw(mask, low_mask: int, n_draw: int):
-            """Uniform ``[0, n_draw)`` per masked lane: the vectorised loop."""
-            keep = np.uint64(low_mask)
-            bound = np.uint64(n_draw)
-            value = take(mask) & keep
-            pending = mask & (value >= bound)
-            while pending.any():
-                redraw = take(pending) & keep
-                value = np.where(pending, redraw, value)
-                pending = pending & (redraw >= bound)
-            return value
-
-        w = take(np.ones(n, bool))
-        alive = w >= np.uint64(params.drop_t)
-        w = take(alive)
-        n_copies = np.where(alive & (w < np.uint64(params.dup_t)), 2, 1)
-        n_copies = np.where(alive, n_copies, 0)
-
-        delays = np.zeros((n, 2), np.int64)
-        bits = np.full((n, 2), -1, np.int64)
-        for c in (0, 1):
-            m = n_copies > c
-            if not m.any():
-                break
-            if params.jitter_n > 1:
-                value = rejection_draw(m, params.jitter_mask, params.jitter_n)
-                delays[m, c] = value[m].astype(np.int64)
-            if params.reorder_t:
-                hit = m & (take(m) < np.uint64(params.reorder_t))
-                delays[hit, c] += params.reorder_delay_ms
-            if params.corrupt_t:
-                hit = m & (take(m) < np.uint64(params.corrupt_t))
-                if hit.any():
-                    bit_mask = (1 << (frame_bits - 1).bit_length()) - 1
-                    value = rejection_draw(hit, bit_mask, frame_bits)
-                    bits[hit, c] = value[hit].astype(np.int64)
-
-        copy0 = list(zip(delays[:, 0].tolist(), bits[:, 0].tolist()))
-        copy1 = list(zip(delays[:, 1].tolist(), bits[:, 1].tolist()))
-        out: list[tuple[tuple[int, int], ...]] = []
-        append = out.append
-        for i, k in enumerate(n_copies.tolist()):
-            if k == 0:
-                append(())
-            elif k == 1:
-                append((copy0[i],))
-            else:
-                append((copy0[i], copy1[i]))
-        return out
-
-
-# -- registry ---------------------------------------------------------------
-
-_BACKENDS: dict[str, ChannelBackend] = {PureChannelBackend.name: PureChannelBackend()}
-if _np is not None:
-    _BACKENDS[NumpyChannelBackend.name] = NumpyChannelBackend()
-_current: ChannelBackend = _BACKENDS[DEFAULT_CHANNEL_BACKEND]
-
-
-def available_channel_backends() -> tuple[str, ...]:
-    """Names of the registered channel backends (stable order)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def numpy_unavailable_reason() -> str | None:
-    """Why the ``numpy`` backend is absent, or ``None`` when registered."""
-    return None if "numpy" in _BACKENDS else _NUMPY_ERROR
-
-
-def get_channel_backend(name: str) -> ChannelBackend:
-    """Look up a backend by name; raises ``ValueError`` on unknown names."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        reason = numpy_unavailable_reason()
-        hint = f" (numpy backend unavailable: {reason})" if name == "numpy" and reason else ""
-        raise ValueError(
-            f"unknown channel backend {name!r}; "
-            f"available: {', '.join(available_channel_backends())}{hint}"
-        ) from None
-
-
-def select_channel_backend(name: str) -> tuple[ChannelBackend, str | None]:
-    """Resolve *name*, falling back to ``pure`` with a recorded reason.
-
-    Returns ``(backend, None)`` on an exact hit.  When the optional
-    ``numpy`` backend is requested but not importable the fallback is
-    ``(pure backend, reason string)`` -- callers that surface records
-    (benchmarks, the experiment runner) persist the reason instead of
-    failing, so a numpy-free environment still runs everything.
-    Genuinely unknown names still raise.
-    """
-    if name == "numpy" and "numpy" not in _BACKENDS:
-        reason = numpy_unavailable_reason() or "numpy import failed"
-        return (
-            _BACKENDS[DEFAULT_CHANNEL_BACKEND],
-            f"numpy channel backend unavailable ({reason}); using pure",
-        )
-    return get_channel_backend(name), None
-
-
-def current_channel_backend() -> ChannelBackend:
-    """The backend v2 fate computation currently routes through."""
-    return _current
-
-
-def set_channel_backend(name_or_backend: str | ChannelBackend) -> ChannelBackend:
-    """Select the process-wide channel backend; returns the previous one."""
-    global _current
-    previous = _current
-    if isinstance(name_or_backend, ChannelBackend):
-        _current = name_or_backend
-    else:
-        _current = get_channel_backend(name_or_backend)
-    return previous
-
-
-@contextmanager
-def use_channel_backend(name_or_backend: str | ChannelBackend):
-    """Temporarily select a channel backend (benchmarks, A/B tests)."""
-    previous = set_channel_backend(name_or_backend)
-    try:
-        yield _current
-    finally:
-        set_channel_backend(previous)
+            fate.append((extra, bit))
+        append(tuple(fate))
+    return out

@@ -32,13 +32,11 @@ exact drawn values are part of the reproducibility contract
     ints via rejection sampling on 32-bit stream words, no scratch-MT
     reseed, no :class:`random.Random` anywhere on the hot path.  This
     removes the fixed ~6us per-transmission reseed that dominated v1
-    lossy floods, and the stream computation is pluggable
-    (:mod:`repro.network.channel_backend`: a hashlib reference loop and
-    an optional vectorised numpy implementation, bit-identical).
+    lossy floods; the stream itself lives in
+    :mod:`repro.network.channel_backend`.
 
 :class:`PerfectChannel` (all rates zero) short-circuits before any
-hashing: one copy, base latency, bytes untouched -- byte-identical to the
-object-passing engine it replaced.
+hashing: one copy, base latency, bytes untouched.
 """
 
 from __future__ import annotations
@@ -50,21 +48,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.core.wire import flip_bit
-from repro.network.channel_backend import (
-    FateParams,
-    current_channel_backend,
-    fate_threshold,
-)
+from repro.network.channel_backend import FateParams, broadcast_fates, fate_threshold
 
 __all__ = ["ChannelModel", "PerfectChannel", "Delivery"]
 
 CHANNEL_VERSIONS = (1, 2)
 
 # v2 hashes node ids and flow ids to fixed-width 32-byte digests so the
-# keystream messages have a static layout (vectorisable, no separator
-# bytes).  Both caches are value-pure -- a digest only depends on its key
-# -- so sharded workers recomputing them stay byte-identical; the bound
-# just stops a pathological id churn from growing them without limit.
+# keystream messages have a static layout (no separator bytes).  Both
+# caches are value-pure -- a digest only depends on its key -- so sharded
+# workers recomputing them stay byte-identical; the bound just stops a
+# pathological id churn from growing them without limit.
 _DIGEST_CACHE_MAX = 1 << 17
 _NODE_DIGESTS: dict[str, bytes] = {}
 _FLOW_DIGESTS: dict[bytes, bytes] = {}
@@ -360,17 +354,15 @@ class ChannelModel:
         """Counter-mode fate plane: one keystream per link, no RNG objects.
 
         The 76-byte broadcast prefix ``seed | seq | flow32 | src32`` keys
-        the whole neighbourhood; the selected channel backend
-        (:func:`~repro.network.channel_backend.current_channel_backend`)
-        turns it into per-link ``(extra_delay, corrupt_bit)`` fates,
-        which map 1:1 onto :class:`Delivery` copies here.  Backend
-        choice is bit-transparent, so it is process-global state rather
-        than part of the channel's identity.
+        the whole neighbourhood;
+        :func:`~repro.network.channel_backend.broadcast_fates` turns it
+        into per-link ``(extra_delay, corrupt_bit)`` fates, which map 1:1
+        onto :class:`Delivery` copies here.
         """
         prefix = (
             _PACK_SEED_SEQ(self.seed, seq & 0xFFFF_FFFF) + _flow32(flow) + _node32(src)
         )
-        fates = current_channel_backend().broadcast_fates(
+        fates = broadcast_fates(
             prefix,
             [_node32(dst) for dst in dsts],
             self._fate_params,
@@ -404,6 +396,6 @@ class PerfectChannel(ChannelModel):
     """Lossless, jitter-free medium: one copy per transmission, untouched.
 
     The engine's default.  Runs over a perfect channel are byte-identical
-    (matches, wire elements, metrics) to the pre-datagram object-passing
-    engine, which is pinned by ``tests/network/test_engine_golden.py``.
+    (matches, wire elements, metrics) to the pre-datagram engine's frozen
+    fixture, pinned by ``tests/network/test_engine_golden.py``.
     """

@@ -40,21 +40,22 @@ payload accounting plus the new frame-layer counters); the engine
 additionally reports aggregate throughput and reply-latency percentiles.
 
 Determinism: with the default :class:`PerfectChannel` a run is
-byte-identical (matches, wire elements, metrics) to the pre-datagram
-object-passing engine (pinned by ``tests/network/test_engine_golden.py``);
-with a lossy channel every frame's fate is a pure function of
-``(channel seed, flow, link, seq)``, so runs reproduce from (seed, spec)
-alone and ``run_parallel`` shards equal sequential runs.  The fate
-*derivation* is version-gated (``ChannelModel(version=...)``: 1 scratch-MT,
-2 counter-mode keystream); the engine is agnostic -- it hands the channel
-the same keys either way, and both planes keep the pure-function property,
-so the sharding identity holds under every (version, backend) combination.
+byte-identical (matches, wire elements, metrics) to the frozen fixture the
+pre-datagram engine produced (pinned by
+``tests/network/test_engine_golden.py``); with a lossy channel every
+frame's fate is a pure function of ``(channel seed, flow, link, seq)``, so
+runs reproduce from (seed, spec) alone and ``run_parallel`` shards equal
+sequential runs.  The fate *derivation* is version-gated
+(``ChannelModel(version=...)``: 1 scratch-MT, 2 counter-mode keystream);
+the engine is agnostic -- it hands the channel the same keys either way,
+and both planes keep the pure-function property, so the sharding identity
+holds under both.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 
 from repro.core.exceptions import SerializationError
@@ -74,7 +75,6 @@ from repro.core.wire import (
     encode_request_frame,
     encode_segment_frame,
     reframe,
-    reply_wire_size,
 )
 from repro.crypto.backend import current_backend, set_backend
 from repro.network.events import (
@@ -205,7 +205,7 @@ class _Episode:
                  "frame", "metrics", "replies", "last_event_ms",
                  "seen_responders", "seg_rx", "seg_sent", "degraded")
 
-    def __init__(self, spec: EpisodeSpec, index: int, wire: bool):
+    def __init__(self, spec: EpisodeSpec, index: int):
         self.spec = spec
         self.index = index
         self.package = spec.initiator.create_request(now_ms=spec.start_ms)
@@ -216,13 +216,8 @@ class _Episode:
         self.flow = self.rid + b"Q"
         # The request is encoded exactly once; relays patch only the
         # envelope's routing bytes, so the payload on the air is identical
-        # at every hop.  In the object-passing baseline the "frame" is the
-        # un-serialized envelope dataclass carrying the package itself.
-        if wire:
-            self.frame = encode_request_frame(self.package)
-        else:
-            self.frame = Frame(FT_REQUEST, self.package,
-                               ttl=self.package.ttl, seq=0)
+        # at every hop.
+        self.frame = encode_request_frame(self.package)
         self.metrics = NetworkMetrics()
         self.replies: list[Reply] = []
         self.last_event_ms = spec.start_ms
@@ -245,7 +240,6 @@ def _run_episode_shard(
     backend_name: str,
     retries: int,
     retransmit_timeout_ms: int,
-    wire: bool,
     reliability: "str | ReliabilityMode" = "simple",
 ) -> tuple[list[EpisodeResult], int]:
     """Worker-process entry point: run one shard of episodes sequentially.
@@ -259,7 +253,7 @@ def _run_episode_shard(
     set_backend(backend_name)
     engine = FriendingEngine(
         network, retries=retries, retransmit_timeout_ms=retransmit_timeout_ms,
-        wire=wire, reliability=reliability,
+        reliability=reliability,
     )
     result = engine.run([spec for _, spec in indexed_specs], until_ms=until_ms)
     for (original_index, _), episode in zip(indexed_specs, result.episodes):
@@ -305,19 +299,11 @@ class FriendingEngine:
         waves re-send only missing segments) or ``"window_fec"``
         (segmented replies with XOR parity, no waves).  A
         :class:`~repro.network.reliability.ReliabilityMode` instance is
-        accepted too; unknown names raise ``ValueError``.  The segmented
-        modes require the wire runtime.
+        accepted too; unknown names raise ``ValueError``.
     frame_tap:
         Optional callable ``(src, dst, data: bytes)`` invoked for every
         datagram copy the channel delivers -- the global-eavesdropper hook
-        (:class:`repro.attacks.eavesdrop.Eavesdropper.capture`).  Requires
-        the wire runtime.
-    wire:
-        ``False`` selects the object-passing baseline: identical event
-        flow and metrics but no serialization, no channel perturbation
-        (the channel must be perfect) and no tap.  It exists so
-        ``benchmarks/bench_wire_runtime.py`` can price the codec; real
-        runs keep the default.
+        (:class:`repro.attacks.eavesdrop.Eavesdropper.capture`).
     """
 
     def __init__(
@@ -331,7 +317,6 @@ class FriendingEngine:
         retransmit_timeout_ms: int = DEFAULT_RETRANSMIT_TIMEOUT_MS,
         reliability: str | ReliabilityMode = "simple",
         frame_tap=None,
-        wire: bool = True,
         decode_cache_cap: int = DEFAULT_DECODE_CACHE_CAP,
         reject_cache_cap: int = DEFAULT_REJECT_CACHE_CAP,
     ):
@@ -348,19 +333,6 @@ class FriendingEngine:
         if retransmit_timeout_ms <= 0:
             raise ValueError("retransmit_timeout_ms must be positive")
         self.reliability = load_reliability_mode(reliability)
-        if not wire:
-            if not network.channel.is_perfect:
-                raise ValueError(
-                    "the object-passing baseline cannot apply a lossy channel; "
-                    "use wire=True"
-                )
-            if frame_tap is not None:
-                raise ValueError("frame_tap requires the wire runtime (wire=True)")
-            if self.reliability.segmented:
-                raise ValueError(
-                    f"reliability mode {self.reliability.name!r} ships replies as "
-                    "segment frames and requires the wire runtime (wire=True)"
-                )
         self.network = network
         self.mobility = mobility
         self.radio_radius = radio_radius
@@ -368,7 +340,6 @@ class FriendingEngine:
         self.retries = retries
         self.retransmit_timeout_ms = retransmit_timeout_ms
         self.frame_tap = frame_tap
-        self.wire = wire
         if decode_cache_cap < 4 or reject_cache_cap < 4:
             raise ValueError("decode/reject cache caps must be >= 4")
         self.decode_cache_cap = decode_cache_cap
@@ -506,7 +477,7 @@ class FriendingEngine:
 
         first_start = min(spec.start_ms for spec in specs)
         self._reset_run_state(first_start)
-        self._episodes = [_Episode(spec, i, self.wire) for i, spec in enumerate(specs)]
+        self._episodes = [_Episode(spec, i) for i, spec in enumerate(specs)]
 
         for episode in self._episodes:
             self._admit_episode(episode, first_start)
@@ -552,7 +523,7 @@ class FriendingEngine:
         # _setup_run); only mid-run inject() needs the special root keys of
         # the region-sharded engine.
         for i, spec in enumerate(specs):
-            episode = _Episode(spec, i, self.wire)
+            episode = _Episode(spec, i)
             self._episodes.append(episode)
             self._admit_episode(episode, first_start)
 
@@ -598,7 +569,7 @@ class FriendingEngine:
                 f"cannot inject an episode starting at {spec.start_ms} ms: "
                 f"the clock is already at {now_ms} ms"
             )
-        episode = _Episode(spec, len(self._episodes), self.wire)
+        episode = _Episode(spec, len(self._episodes))
         self._episodes.append(episode)
         self._begin_roots()
         self._admit_episode(episode, now_ms)
@@ -855,8 +826,7 @@ class FriendingEngine:
             futures = [
                 pool.submit(
                     _run_episode_shard, self.network, shard, until_ms, backend_name,
-                    self.retries, self.retransmit_timeout_ms, self.wire,
-                    self.reliability,
+                    self.retries, self.retransmit_timeout_ms, self.reliability,
                 )
                 for shard in shards
             ]
@@ -877,7 +847,7 @@ class FriendingEngine:
 
     # -- frame plumbing -----------------------------------------------------
 
-    def _decode(self, data) -> Frame:
+    def _decode(self, data: bytes) -> Frame:
         """Envelope validation: bytes in, checked Frame out (or raises).
 
         Memoized on the exact datagram bytes: a broadcast delivers the
@@ -889,8 +859,6 @@ class FriendingEngine:
         bound keeps dead bytes from accumulating.  Both caches are
         size-capped (:class:`_BoundedCache`) and live for one run.
         """
-        if isinstance(data, Frame):  # object-passing baseline
-            return data
         frame = self._frame_cache.get(data)
         if frame is None:
             if data in self._reject_cache:
@@ -911,30 +879,11 @@ class FriendingEngine:
         -- the cache key being the bytes keeps this transparent: any
         corruption changes the key and fails envelope validation first.
         """
-        if isinstance(frame.payload, RequestPackage):
-            return frame.payload
         package = self._package_cache.get(frame.payload)
         if package is None:
             package = RequestPackage.decode(frame.payload)
             self._package_cache.put(frame.payload, package)
         return package
-
-    def _reframe(self, frame, *, ttl: int | None = None, seq: int | None = None):
-        if isinstance(frame, Frame):
-            updates = {}
-            if ttl is not None:
-                updates["ttl"] = ttl
-            if seq is not None:
-                updates["seq"] = seq
-            return replace(frame, **updates)
-        return reframe(frame, ttl=ttl, seq=seq)
-
-    @staticmethod
-    def _meta(frame) -> tuple[int, int]:
-        """(ttl, seq) straight from the envelope without a full decode."""
-        if isinstance(frame, Frame):
-            return frame.ttl, frame.seq
-        return frame[6], frame[7]
 
     def _transmit(
         self, episode: _Episode, frame, *, flow: bytes, link: tuple[str, str],
@@ -1018,7 +967,7 @@ class FriendingEngine:
         metrics.bytes_broadcast += episode.package_bytes
         episode.last_event_ms = self._queue.now_ms
         frame = event.frame
-        _, wave = self._meta(frame)
+        wave = frame[7]  # the envelope's seq byte, read without a decode
         neighbours = node.neighbours
         if not neighbours:
             return
@@ -1179,7 +1128,7 @@ class FriendingEngine:
             self._schedule(
                 self.network.processing_latency_ms,
                 BroadcastEvent(episode.index, node_id,
-                               self._reframe(data, ttl=frame.ttl - 1)),
+                               reframe(data, ttl=frame.ttl - 1)),
             )
         else:
             # TTL exhausted: the packet was received and fully processed
@@ -1219,7 +1168,7 @@ class FriendingEngine:
             self._schedule(
                 self.network.processing_latency_ms,
                 BroadcastEvent(episode.index, node_id,
-                               self._reframe(data, ttl=frame.ttl - 1)),
+                               reframe(data, ttl=frame.ttl - 1)),
             )
         else:
             episode.metrics.dropped_ttl += 1
@@ -1233,16 +1182,11 @@ class FriendingEngine:
             # element per frame.
             self._send_reply_segments(episode, reply, via, hops)
             return
-        if self.wire:
-            frame = encode_reply_frame(reply, ttl=min(hops, 255))
-            frame_len = len(frame)
-        else:
-            frame = Frame(FT_REPLY, reply, ttl=min(hops, 255))
-            frame_len = FRAME_HEADER_LEN + reply_wire_size(n_elements, reply.responder_id)
+        frame = encode_reply_frame(reply, ttl=min(hops, 255))
         self._schedule(
             self.network.processing_latency_ms,
             ReplyHopEvent(
-                episode.index, frame, via, hops, n_elements, frame_len,
+                episode.index, frame, via, hops, n_elements, len(frame),
                 flow=episode.rid + b"R" + reply.responder_id.encode("utf-8"),
             ),
         )
@@ -1372,14 +1316,10 @@ class FriendingEngine:
         try:
             frame = self._decode(event.frame)
             if frame.ftype == FT_REPLY_SEG:
-                segment = (
-                    frame.payload
-                    if isinstance(frame.payload, ReplySegment)
-                    else decode_reply_segment(frame.payload)
-                )
+                segment = decode_reply_segment(frame.payload)
             elif frame.ftype == FT_REPLY:
                 segment = None
-                reply = frame.payload if isinstance(frame.payload, Reply) else decode_reply(frame.payload)
+                reply = decode_reply(frame.payload)
             else:
                 raise SerializationError(f"unexpected frame type {frame.ftype} for a reply")
         except SerializationError:
@@ -1529,8 +1469,7 @@ class FriendingEngine:
             0,
             BroadcastEvent(
                 event.episode, episode.spec.initiator_node,
-                self._reframe(episode.frame, ttl=episode.package.ttl,
-                              seq=event.attempt),
+                reframe(episode.frame, ttl=episode.package.ttl, seq=event.attempt),
             ),
         )
         if event.attempt < self.retries:
@@ -1595,8 +1534,7 @@ class FriendingEngine:
                 0,
                 BroadcastEvent(
                     event.episode, episode.spec.initiator_node,
-                    self._reframe(episode.frame, ttl=episode.package.ttl,
-                                  seq=event.attempt),
+                    reframe(episode.frame, ttl=episode.package.ttl, seq=event.attempt),
                 ),
             )
         else:

@@ -46,13 +46,11 @@ class BroadcastEvent:
 
     ``frame`` is the encoded request datagram; its envelope TTL is the
     remaining hop budget and its envelope seq the retransmission wave.
-    (In the engine's object-passing baseline mode it is an un-serialized
-    :class:`~repro.core.wire.Frame`, hence the loose type.)
     """
 
     episode: int
     node: str
-    frame: Any
+    frame: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +67,7 @@ class FrameEvent:
     episode: int
     node: str
     from_node: str
-    data: Any
+    data: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +86,7 @@ class DeliveryEvent:
 
     episode: int
     from_node: str
-    deliveries: tuple[tuple[str, Any], ...]
+    deliveries: tuple[tuple[str, bytes], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +104,7 @@ class ReplyHopEvent:
     """
 
     episode: int
-    frame: Any
+    frame: bytes
     via: str
     remaining_hops: int
     n_elements: int

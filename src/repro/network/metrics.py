@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["AggregateMetrics", "NetworkMetrics", "percentile"]
 
@@ -103,72 +103,28 @@ class NetworkMetrics:
         a canonical order (episode order, region index order) so the
         concatenated list is reproducible.
         """
-        self.broadcasts += other.broadcasts
-        self.unicasts += other.unicasts
-        self.bytes_broadcast += other.bytes_broadcast
-        self.bytes_unicast += other.bytes_unicast
-        self.nodes_reached += other.nodes_reached
-        self.candidates += other.candidates
-        self.replies += other.replies
-        self.dropped_duplicate += other.dropped_duplicate
-        self.dropped_ttl += other.dropped_ttl
-        self.dropped_expired += other.dropped_expired
-        self.dropped_rate_limited += other.dropped_rate_limited
-        self.frames_sent += other.frames_sent
-        self.frames_dropped += other.frames_dropped
-        self.frames_duplicated += other.frames_duplicated
-        self.frames_corrupted += other.frames_corrupted
-        self.frames_rejected += other.frames_rejected
-        self.frame_bytes += other.frame_bytes
-        self.duplicate_replies += other.duplicate_replies
-        self.retransmissions += other.retransmissions
-        self.selective_retx += other.selective_retx
-        self.fec_recovered += other.fec_recovered
-        self.sessions_overflow += other.sessions_overflow
-        self.nodes_joined += other.nodes_joined
-        self.nodes_left += other.nodes_left
-        self.nodes_crashed += other.nodes_crashed
-        self.orphaned_replies += other.orphaned_replies
-        self.degraded_episodes += other.degraded_episodes
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.reply_latency_ms.extend(other.reply_latency_ms)
 
     def as_dict(self) -> dict[str, float]:
-        """Flat summary for reporting."""
-        return {
-            "broadcasts": self.broadcasts,
-            "unicasts": self.unicasts,
-            "bytes_broadcast": self.bytes_broadcast,
-            "bytes_unicast": self.bytes_unicast,
-            "total_bytes": self.total_bytes,
-            "nodes_reached": self.nodes_reached,
-            "candidates": self.candidates,
-            "replies": self.replies,
-            "dropped_duplicate": self.dropped_duplicate,
-            "dropped_ttl": self.dropped_ttl,
-            "dropped_expired": self.dropped_expired,
-            "dropped_rate_limited": self.dropped_rate_limited,
-            "frames_sent": self.frames_sent,
-            "frames_dropped": self.frames_dropped,
-            "frames_duplicated": self.frames_duplicated,
-            "frames_corrupted": self.frames_corrupted,
-            "frames_rejected": self.frames_rejected,
-            "frame_bytes": self.frame_bytes,
-            "duplicate_replies": self.duplicate_replies,
-            "retransmissions": self.retransmissions,
-            "selective_retx": self.selective_retx,
-            "fec_recovered": self.fec_recovered,
-            "sessions_overflow": self.sessions_overflow,
-            "nodes_joined": self.nodes_joined,
-            "nodes_left": self.nodes_left,
-            "nodes_crashed": self.nodes_crashed,
-            "orphaned_replies": self.orphaned_replies,
-            "degraded_episodes": self.degraded_episodes,
-            "mean_reply_latency_ms": (
-                sum(self.reply_latency_ms) / len(self.reply_latency_ms)
-                if self.reply_latency_ms
-                else 0.0
-            ),
-        }
+        """Flat summary for reporting: every counter in declaration order,
+        ``total_bytes`` right after the two byte counters it sums, then
+        ``mean_reply_latency_ms``."""
+        summary = {}
+        for name in _COUNTERS:
+            summary[name] = getattr(self, name)
+            if name == "bytes_unicast":
+                summary["total_bytes"] = self.total_bytes
+        latencies = self.reply_latency_ms
+        summary["mean_reply_latency_ms"] = (
+            sum(latencies) / len(latencies) if latencies else 0.0
+        )
+        return summary
+
+
+# Every field but the latency list is an int counter that merges by sum.
+_COUNTERS = tuple(f.name for f in fields(NetworkMetrics) if f.name != "reply_latency_ms")
 
 
 @dataclass

@@ -96,9 +96,8 @@ class _GridTopologyMixin:
         assert adjacency is not None
         # Re-bucket only the moved nodes, remembering which cell
         # neighbourhoods the moves disturbed (both ends of each move).
-        # The batch path routes the cell map through the active grid
-        # backend (vectorised under numpy); node order is the original
-        # insertion order so bucket contents stay deterministic.
+        # Node order is the original insertion order so bucket contents
+        # stay deterministic.
         moves = [
             (node, *positions[node])
             for node in sorted(self._moved, key=self._order.__getitem__)

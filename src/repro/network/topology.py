@@ -33,8 +33,6 @@ import random
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.network.grid_backend import current_grid_backend
-
 __all__ = [
     "SpatialGrid",
     "naive_adjacency",
@@ -135,33 +133,11 @@ class SpatialGrid:
     ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """Batch :meth:`move`: one ``(old_cell, new_cell)`` per input move.
 
-        The cell map for the whole batch runs through the active grid
-        backend (:mod:`repro.network.grid_backend`), which vectorises it
-        under numpy; re-bucketing then happens node by node **in input
-        order**, so bucket insertion order — and therefore every later
-        query — is exactly what the equivalent sequence of single
-        :meth:`move` calls would produce, whichever backend computed the
-        cells.
+        Nodes are re-bucketed **in input order**, so bucket insertion
+        order — and therefore every later query — is exactly what the
+        equivalent sequence of single :meth:`move` calls produces.
         """
-        cells = current_grid_backend().assign_cells(
-            [(x, y) for _, x, y in moves], self._cell_size
-        )
-        where = self._where
-        pos = self._pos
-        all_cells = self._cells
-        out = []
-        for (node, x, y), new in zip(moves, cells):
-            old = where[node]
-            pos[node] = (x, y)
-            if new != old:
-                bucket = all_cells[old]
-                del bucket[node]
-                if not bucket:
-                    del all_cells[old]
-                all_cells.setdefault(new, {})[node] = None
-                where[node] = new
-            out.append((old, new))
-        return out
+        return [self.move(node, x, y) for node, x, y in moves]
 
     def _block(self, cell: tuple[int, int]) -> Iterable[str]:
         """All nodes bucketed in the 3×3 block around *cell*."""

@@ -191,15 +191,13 @@ class TestRunScenario:
         assert record["workers"] == 1
         assert record["spec"]["backend"] == "tables"
 
-    def test_record_carries_channel_version_and_backend(self):
+    def test_record_carries_channel_version(self):
         v1 = run_scenario(ScenarioSpec.from_dict({**TINY, "loss_rate": 0.1}))
         assert v1["channel_version"] == 1
-        assert v1["channel_backend"] is None  # v1 never touches the seam
         v2 = run_scenario(
             ScenarioSpec.from_dict({**TINY, "loss_rate": 0.1, "channel_version": 2})
         )
         assert v2["channel_version"] == 2
-        assert v2["channel_backend"] in ("pure", "numpy")
         # Same spec, different fate plane: both valid, not interchangeable.
         assert v2["matches"] >= 0
         assert v1["spec"]["channel_version"] == 1

@@ -1,32 +1,19 @@
-"""Channel backend layer: registry, pure == numpy equivalence, fallback."""
+"""The v2 fate stream: broadcast_fates against the per-link reference."""
 
 from __future__ import annotations
 
 import hashlib
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import channel_backend
 from repro.network.channel_backend import (
     PREFIX_LEN,
     FateParams,
-    PureChannelBackend,
     _link_fate,
-    available_channel_backends,
-    current_channel_backend,
+    broadcast_fates,
     fate_threshold,
-    get_channel_backend,
-    numpy_unavailable_reason,
-    select_channel_backend,
-    set_channel_backend,
-    use_channel_backend,
 )
-
-PURE = get_channel_backend("pure")
-
-HAVE_NUMPY = "numpy" in available_channel_backends()
 
 
 def _params(
@@ -77,91 +64,8 @@ class TestFateThreshold:
         assert all(0 <= t <= 1 << 32 for t in points)
 
 
-class TestRegistry:
-    def test_pure_always_available(self):
-        names = available_channel_backends()
-        assert "pure" in names
-        assert names == tuple(sorted(names))
-        assert isinstance(get_channel_backend("pure"), PureChannelBackend)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown channel backend"):
-            get_channel_backend("cuda")
-        with pytest.raises(ValueError, match="unknown channel backend"):
-            set_channel_backend("cuda")
-        with pytest.raises(ValueError, match="unknown channel backend"):
-            select_channel_backend("cuda")
-
-    def test_default_is_pure(self):
-        assert current_channel_backend().name == "pure"
-
-    def test_numpy_reason_consistent_with_registry(self):
-        # Exactly one of (registered, reason) holds, whatever the env has.
-        if HAVE_NUMPY:
-            assert numpy_unavailable_reason() is None
-        else:
-            assert numpy_unavailable_reason()
-
-    def test_use_backend_restores(self):
-        before = current_channel_backend()
-        with use_channel_backend("pure") as active:
-            assert active.name == "pure"
-            assert current_channel_backend() is active
-        assert current_channel_backend() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = current_channel_backend()
-        with pytest.raises(RuntimeError):
-            with use_channel_backend("pure"):
-                raise RuntimeError("boom")
-        assert current_channel_backend() is before
-
-    def test_use_backend_accepts_instance(self):
-        with use_channel_backend(PURE) as active:
-            assert active is PURE
-
-
-class TestFallback:
-    """select_channel_backend degrades numpy -> pure with a recorded reason.
-
-    The fallback is exercised by force (monkeypatching numpy out of the
-    registry) so it is covered even on hosts that *do* have numpy --
-    tier-1 must never depend on the import succeeding.
-    """
-
-    def test_exact_hit_has_no_reason(self):
-        backend, reason = select_channel_backend("pure")
-        assert backend is PURE
-        assert reason is None
-
-    def test_missing_numpy_falls_back_to_pure(self, monkeypatch):
-        monkeypatch.delitem(channel_backend._BACKENDS, "numpy", raising=False)
-        monkeypatch.setattr(
-            channel_backend, "_NUMPY_ERROR", "ImportError: No module named 'numpy'"
-        )
-        backend, reason = select_channel_backend("numpy")
-        assert backend is PURE
-        assert "numpy channel backend unavailable" in reason
-        assert "No module named 'numpy'" in reason
-        assert "using pure" in reason
-
-    def test_missing_numpy_get_raises_with_hint(self, monkeypatch):
-        monkeypatch.delitem(channel_backend._BACKENDS, "numpy", raising=False)
-        monkeypatch.setattr(channel_backend, "_NUMPY_ERROR", "ImportError: nope")
-        with pytest.raises(ValueError, match="numpy backend unavailable"):
-            get_channel_backend("numpy")
-        assert numpy_unavailable_reason() == "ImportError: nope"
-
-    def test_available_numpy_selected_exactly(self):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not installed")
-        backend, reason = select_channel_backend("numpy")
-        assert backend.name == "numpy"
-        assert reason is None
-
-
 class TestPureAgainstReference:
-    """The unrolled pure loop must equal _link_fate word for word."""
+    """The unrolled hashlib loop must equal _link_fate word for word."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -180,7 +84,7 @@ class TestPureAgainstReference:
         params = _params(drop, dup, reorder, corrupt, jitter_ms)
         frame_bits = max(1, frame_len * 8)
         bit_mask = (1 << (frame_bits - 1).bit_length()) - 1
-        assert PURE.broadcast_fates(prefix, dsts, params, frame_bits) == [
+        assert broadcast_fates(prefix, dsts, params, frame_bits) == [
             _link_fate(prefix, dst, params, frame_bits, bit_mask) for dst in dsts
         ]
 
@@ -192,107 +96,27 @@ class TestPureAgainstReference:
         frame_bits = 8 * 61
         bit_mask = (1 << (frame_bits - 1).bit_length()) - 1
         prefix, dsts = _prefix(7), _dsts(64)
-        fates = PURE.broadcast_fates(prefix, dsts, params, frame_bits)
+        fates = broadcast_fates(prefix, dsts, params, frame_bits)
         assert fates == [
             _link_fate(prefix, dst, params, frame_bits, bit_mask) for dst in dsts
         ]
         assert all(len(f) == 2 for f in fates)  # dup=1.0: two copies each
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-class TestNumpyEquivalence:
-    """pure == numpy, bit for bit, for every rate/jitter/fan-out shape."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        prefix=prefixes,
-        dsts=digest_lists,
-        drop=rates,
-        dup=rates,
-        reorder=rates,
-        corrupt=rates,
-        jitter_ms=jitters,
-        frame_len=st.integers(min_value=0, max_value=80),
-    )
-    def test_broadcast_fates_identical(
-        self, prefix, dsts, drop, dup, reorder, corrupt, jitter_ms, frame_len
-    ):
-        numpy_backend = get_channel_backend("numpy")
-        params = _params(drop, dup, reorder, corrupt, jitter_ms)
-        frame_bits = max(1, frame_len * 8)
-        assert numpy_backend.broadcast_fates(
-            prefix, dsts, params, frame_bits
-        ) == PURE.broadcast_fates(prefix, dsts, params, frame_bits)
-
-    def test_large_fanout_identical(self):
-        numpy_backend = get_channel_backend("numpy")
-        params = _params(drop=0.1, dup=0.2, reorder=0.15, corrupt=0.2, jitter_ms=5)
-        prefix, dsts = _prefix(42), _dsts(500)
-        assert numpy_backend.broadcast_fates(
-            prefix, dsts, params, 8 * 90
-        ) == PURE.broadcast_fates(prefix, dsts, params, 8 * 90)
-
-    def test_prefix_length_validated(self):
-        numpy_backend = get_channel_backend("numpy")
-        with pytest.raises(ValueError, match="76 bytes"):
-            numpy_backend.broadcast_fates(b"short", _dsts(2), _params(), 8)
-
-    def test_vectorised_sha256_matches_hashlib(self):
-        # The keystream block IS sha256(prefix || dst32 || counter): check
-        # the from-scratch uint32 compression against hashlib directly.
-        import struct
-
-        import numpy as np
-
-        from repro.network.channel_backend import _H0_8, _sha_compress
-
-        numpy_backend = get_channel_backend("numpy")
-        prefix, dsts = _prefix(3), _dsts(9)
-        mid = _sha_compress(
-            _H0_8,
-            np.frombuffer(prefix[:64], dtype=">u4").astype(np.uint32).reshape(1, 16),
-        )[0]
-        tail = np.frombuffer(prefix[64:], dtype=">u4").astype(np.uint32)
-        dst_rows = (
-            np.frombuffer(b"".join(dsts), dtype=">u4").astype(np.uint32).reshape(9, 8)
-        )
-        for counter in (0, 1, 2, 1000):
-            blocks = numpy_backend._keystream_blocks(
-                mid, tail, dst_rows, np.full(9, counter, np.uint32)
-            )
-            for lane, dst in enumerate(dsts):
-                expected = hashlib.sha256(
-                    prefix + dst + counter.to_bytes(4, "big")
-                ).digest()
-                assert struct.pack(">8I", *blocks[lane].tolist()) == expected
-
-
 class TestEdgeCases:
     def test_empty_destination_list(self):
-        for name in available_channel_backends():
-            assert get_channel_backend(name).broadcast_fates(
-                _prefix(), [], _params(drop=0.5), 8
-            ) == []
+        assert broadcast_fates(_prefix(), [], _params(drop=0.5), 8) == []
 
     def test_all_zero_params_deliver_everything_clean(self):
-        for name in available_channel_backends():
-            fates = get_channel_backend(name).broadcast_fates(
-                _prefix(), _dsts(10), _params(), 8
-            )
-            assert fates == [((0, -1),)] * 10
+        fates = broadcast_fates(_prefix(), _dsts(10), _params(), 8)
+        assert fates == [((0, -1),)] * 10
 
     def test_certain_drop_beats_certain_dup(self):
         # drop decides before dup: drop=1.0 drops even with dup=1.0.
-        for name in available_channel_backends():
-            fates = get_channel_backend(name).broadcast_fates(
-                _prefix(), _dsts(10), _params(drop=1.0, dup=1.0), 8
-            )
-            assert fates == [()] * 10
+        fates = broadcast_fates(_prefix(), _dsts(10), _params(drop=1.0, dup=1.0), 8)
+        assert fates == [()] * 10
 
     def test_one_bit_frame_corrupt_bit_is_zero(self):
         # frame_bits=1 forces the bit rejection loop to converge on 0.
-        for name in available_channel_backends():
-            fates = get_channel_backend(name).broadcast_fates(
-                _prefix(), _dsts(6), _params(corrupt=1.0), 1
-            )
-            assert fates == [((0, 0),)] * 6
+        fates = broadcast_fates(_prefix(), _dsts(6), _params(corrupt=1.0), 1)
+        assert fates == [((0, 0),)] * 6

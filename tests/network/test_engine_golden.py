@@ -1,11 +1,11 @@
 """Byte-identity of the datagram engine vs the pre-refactor object engine.
 
-``data/golden_perfect_channel.json`` was generated by the PR-3
-object-passing engine (no frames, no channel model) immediately before
-the datagram refactor.  Over a :class:`PerfectChannel`, the refactored
-engine must reproduce it exactly -- matches (including key material),
-reply wire elements, per-episode metrics and aggregate -- for ``run``,
-``run_parallel(workers=4)`` and the ``wire=False`` object baseline.
+``data/golden_perfect_channel.json`` was generated by the object-passing
+engine (no frames, no channel model) immediately before the datagram
+refactor, and is frozen.  Over a :class:`PerfectChannel`, the engine must
+reproduce it exactly -- matches (including key material), reply wire
+elements, per-episode metrics and aggregate -- for ``run`` and
+``run_parallel(workers=4)``.
 """
 
 from __future__ import annotations
@@ -111,16 +111,6 @@ def _assert_matches_golden(result, golden):
 def test_run_matches_pre_refactor_golden(scenario):
     network, launches, arrival = _SCENARIOS[scenario]()
     result = FriendingEngine(network).run_staggered(launches, arrival_ms=arrival)
-    _assert_matches_golden(result, GOLDEN[scenario])
-
-
-@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
-def test_object_baseline_matches_pre_refactor_golden(scenario):
-    """wire=False (no serialization) must equal the same golden run."""
-    network, launches, arrival = _SCENARIOS[scenario]()
-    result = FriendingEngine(network, wire=False).run_staggered(
-        launches, arrival_ms=arrival
-    )
     _assert_matches_golden(result, GOLDEN[scenario])
 
 

@@ -112,24 +112,6 @@ class TestLossyDeterminism:
         assert total.frames_duplicated > 0
         assert total.frames_corrupted > 0
 
-    def test_v2_run_is_backend_agnostic(self):
-        """Channel backend choice is bit-transparent at engine level."""
-        from repro.network.channel_backend import (
-            available_channel_backends,
-            use_channel_backend,
-        )
-
-        if "numpy" not in available_channel_backends():
-            pytest.skip("numpy channel backend not installed")
-        results = {}
-        for backend in ("pure", "numpy"):
-            with use_channel_backend(backend):
-                network, launches = _build(ChannelModel(**LOSSY, version=2))
-                results[backend] = FriendingEngine(network, retries=2).run_staggered(
-                    launches[:6], arrival_ms=7
-                )
-        assert _fingerprints(results["pure"]) == _fingerprints(results["numpy"])
-
     def test_channel_seed_changes_the_run(self):
         network, launches = _build(ChannelModel(drop_rate=0.2, seed=1))
         a = FriendingEngine(network).run_staggered(launches, arrival_ms=7)
@@ -259,16 +241,6 @@ class TestSessionOverflow:
 
 
 class TestBaselineGuards:
-    def test_object_baseline_rejects_lossy_channel(self):
-        network, _ = _build(ChannelModel(drop_rate=0.1, seed=1))
-        with pytest.raises(ValueError, match="baseline"):
-            FriendingEngine(network, wire=False)
-
-    def test_object_baseline_rejects_frame_tap(self):
-        network, _ = _build()
-        with pytest.raises(ValueError, match="frame_tap"):
-            FriendingEngine(network, wire=False, frame_tap=lambda *a: None)
-
     def test_retries_bounded_to_one_envelope_byte(self):
         network, _ = _build()
         with pytest.raises(ValueError, match="255"):

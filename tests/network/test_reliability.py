@@ -269,12 +269,6 @@ class TestEngineModes:
         with pytest.raises(ValueError, match="unknown reliability mode"):
             FriendingEngine(network, reliability="nope")
 
-    def test_segmented_modes_require_the_wire_runtime(self):
-        network, _ = _build()
-        for name in ("window", "window_fec"):
-            with pytest.raises(ValueError, match="wire"):
-                FriendingEngine(network, wire=False, reliability=name)
-
     def test_simple_is_byte_frozen_against_the_default(self):
         """Passing reliability='simple' explicitly is the identity: same
         fingerprints as an engine that never heard of modes."""

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.mobility import RandomWaypoint
 from repro.network.topology import (
     SpatialGrid,
     city_topology,
@@ -141,6 +143,44 @@ class TestSpatialGrid:
         assert grid.neighbors_within("a") == ["b"]
 
 
+class TestMoveMany:
+    def _grid(self, n: int = 20) -> SpatialGrid:
+        grid = SpatialGrid(0.1)
+        rng = random.Random(3)
+        for i in range(n):
+            grid.insert(f"n{i}", rng.random(), rng.random())
+        return grid
+
+    def test_matches_single_moves(self):
+        """Batch result and bucket state equal the single-move sequence."""
+        rng = random.Random(5)
+        moves = [(f"n{i}", rng.random(), rng.random()) for i in range(20)]
+        single = self._grid()
+        expected = [single.move(node, x, y) for node, x, y in moves]
+        batched = self._grid()
+        assert batched.move_many(moves) == expected
+        for i in range(20):
+            node = f"n{i}"
+            assert batched.cell_of(node) == single.cell_of(node)
+            assert batched.position(node) == single.position(node)
+            assert batched.neighbors_within(node) == single.neighbors_within(node)
+
+    def test_empty_batch(self):
+        grid = self._grid()
+        assert grid.move_many([]) == []
+
+    def test_preserves_bucket_insertion_order(self):
+        """Two nodes moved into one cell keep input order in the bucket."""
+        grid = SpatialGrid(1.0)
+        grid.insert("a", 0.1, 0.1)
+        grid.insert("b", 2.5, 0.1)
+        grid.insert("c", 4.5, 0.1)
+        grid.move_many([("c", 6.5, 0.1), ("b", 6.6, 0.1)])
+        cell = grid.cell_of("b")
+        assert grid.cell_of("c") == cell
+        assert list(grid._cells[cell]) == ["c", "b"]
+
+
 class TestGridVsNaiveEquivalence:
     @given(
         points=st.lists(
@@ -162,6 +202,18 @@ class TestGridVsNaiveEquivalence:
     def test_equivalence_at_scale(self):
         _, positions = city_topology(800, 0.05, seed=3, connect=False)
         assert proximity_adjacency(positions, 0.05) == naive_adjacency(positions, 0.05)
+
+    def test_incremental_refresh_equals_naive(self):
+        """The move_many rebucket path keeps exact adjacency equality --
+        including row order -- with the brute-force reference."""
+        model = RandomWaypoint(
+            [f"n{i}" for i in range(250)], seed=17,
+            min_speed=0.02, max_speed=0.08,
+        )
+        for _ in range(6):
+            model.step(0.4)
+            snapshot = model.snapshot_topology(0.09)
+            assert snapshot == naive_adjacency(model.positions(), 0.09)
 
 
 class TestCityTopology:

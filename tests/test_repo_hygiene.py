@@ -1,17 +1,38 @@
-"""Repository hygiene: no compiled-Python artifacts may ever be tracked.
+"""Repository hygiene: what is tracked, what the process loads, packaging.
 
-The CI guard step runs the same check shell-side; this test keeps it in
-tier-1 so a stray ``git add -A`` fails locally before it reaches CI.
+- No compiled-Python artifacts may ever be tracked.  The CI guard step
+  runs the same check shell-side; this test keeps it in tier-1 so a stray
+  ``git add -A`` fails locally before it reaches CI.
+- No module under ``repro`` imports numpy: the package needs only the
+  standard library and networkx, and a numpy import costs every run about
+  12 MiB of peak RSS.
+- ``setup.py`` resolves its metadata from ``pyproject.toml``.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_IMPORT_EVERYTHING_AND_RUN = """
+import importlib, pkgutil, sys
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+from repro.analysis.experiments import ScenarioSpec, run_scenario
+record = run_scenario(ScenarioSpec(
+    nodes=60, episodes=2, radio_radius=0.3, loss_rate=0.1,
+    channel_version=2, seed=1,
+))
+assert record["frames_sent"] > 0, record
+print("numpy" in sys.modules)
+"""
 
 
 def test_no_tracked_pycache_or_bytecode():
@@ -32,3 +53,24 @@ def test_no_tracked_pycache_or_bytecode():
         if "__pycache__" in path or path.endswith((".pyc", ".pyo"))
     ]
     assert offenders == [], f"compiled-python artifacts are tracked: {offenders}"
+
+
+def test_no_repro_module_imports_numpy():
+    """Every ``repro`` module imported plus one lossy scenario: no numpy."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EVERYTHING_AND_RUN],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False", "a repro module imported numpy"
+
+
+def test_setup_py_resolves_the_project_name():
+    pytest.importorskip("setuptools")
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--name"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "sealed-bottle"
