@@ -1,18 +1,18 @@
-"""Crypto backend bench: batched ``tables`` vs per-block ``pure`` hot path.
+"""Crypto bench: the batched SWAR AES vs its per-block FIPS-197 reference.
 
-Three measurements, each emitting a JSON perf record (``PERF_RECORD {...}``
+``TablesBackend`` is the AES the protocol hot path calls; ``PureBackend``
+runs the same methods over :mod:`repro.crypto.modes`' per-block code.
+Two measurements, each emitting a JSON perf record (``PERF_RECORD {...}``
 on stdout) that ``tools/bench_record.py`` can append to the
 ``BENCH_crypto.json`` trajectory:
 
 1. ``test_aes_buffer_throughput`` -- ECB encrypt + decrypt of one
-   multi-block buffer.  Asserts bit-identical ciphertext across backends
-   and a >= 5x ``tables`` speedup (``AES_SPEEDUP_FLOOR`` relaxes the floor
-   on noisy shared runners).
+   multi-block buffer.  Asserts bit-identical ciphertext across the two
+   and a >= 5x ``TablesBackend`` speedup (``AES_SPEEDUP_FLOOR`` relaxes
+   the floor on noisy shared runners).
 2. ``test_open_many_throughput`` -- the reply-element shape: one 48-byte
    sealed message trial-decrypted under many candidate keys in a single
    batched call.  Same equality + floor.
-3. ``test_sha256_fastpath`` -- hashlib-backed SHA-256 vs the from-scratch
-   pure implementation, cross-checked digest-for-digest.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_crypto_backends.py
       or:  PYTHONPATH=src python -m pytest benchmarks/bench_crypto_backends.py -s
@@ -26,10 +26,9 @@ import random
 import timeit
 
 from repro.crypto import aes
-from repro.crypto.backend import get_backend
+from repro.crypto.backend import PureBackend, TablesBackend
 
 AES_SPEEDUP_FLOOR = float(os.environ.get("AES_SPEEDUP_FLOOR", "5.0"))
-SHA256_SPEEDUP_FLOOR = float(os.environ.get("SHA256_SPEEDUP_FLOOR", "5.0"))
 BUFFER_BLOCKS = 1024
 N_KEYS = 64
 REPLY_ELEMENT_LEN = 48  # ack(15) + similarity(1) + y(32), the protocol unit
@@ -50,12 +49,12 @@ def _emit(record: dict) -> None:
 def test_aes_buffer_throughput():
     """Whole-buffer ECB must be >= 5x the per-block reference, bit-identical."""
     aes.configure_schedule_cache(1024)
-    pure, tables = get_backend("pure"), get_backend("tables")
+    pure, tables = PureBackend(), TablesBackend()
     key = _RNG.randbytes(32)
     plaintext = _RNG.randbytes(16 * BUFFER_BLOCKS)
 
     ciphertext = tables.encrypt_ecb(key, plaintext)
-    assert ciphertext == pure.encrypt_ecb(key, plaintext), "backends disagree on ciphertext"
+    assert ciphertext == pure.encrypt_ecb(key, plaintext), "AES paths disagree on ciphertext"
     assert tables.decrypt_ecb(key, ciphertext) == plaintext
     assert pure.decrypt_ecb(key, ciphertext) == plaintext
 
@@ -90,12 +89,12 @@ def test_aes_buffer_throughput():
 def test_open_many_throughput():
     """Batched multi-key trial decryption must beat the per-key loop >= 5x."""
     aes.configure_schedule_cache(1024)
-    pure, tables = get_backend("pure"), get_backend("tables")
+    pure, tables = PureBackend(), TablesBackend()
     keys = [_RNG.randbytes(32) for _ in range(N_KEYS)]
     sealed = _RNG.randbytes(REPLY_ELEMENT_LEN)
 
     batched = tables.open_many(keys, sealed)
-    assert batched == pure.open_many(keys, sealed), "backends disagree on trial decryption"
+    assert batched == pure.open_many(keys, sealed), "AES paths disagree on trial decryption"
     assert tables.seal_many(keys, sealed) == pure.seal_many(keys, sealed)
 
     t_tables = _best_of(lambda: tables.open_many(keys, sealed))
@@ -116,31 +115,6 @@ def test_open_many_throughput():
     )
 
 
-def test_sha256_fastpath():
-    """hashlib-backed SHA-256 vs the from-scratch reference, cross-checked."""
-    pure, tables = get_backend("pure"), get_backend("tables")
-    buffers = [_RNG.randbytes(n) for n in (0, 1, 63, 64, 65, 1000, 4096)]
-    for buf in buffers:
-        assert pure.sha256(buf) == tables.sha256(buf), "SHA-256 implementations disagree"
-
-    payload = _RNG.randbytes(16384)
-    t_tables = _best_of(lambda: tables.sha256(payload))
-    t_pure = _best_of(lambda: pure.sha256(payload), repeat=3)
-    speedup = t_pure / t_tables
-    _emit({
-        "bench": "crypto_sha256_fastpath",
-        "payload_bytes": len(payload),
-        "pure_seconds": round(t_pure, 5),
-        "tables_seconds": round(t_tables, 6),
-        "speedup": round(speedup, 1),
-        "floor": SHA256_SPEEDUP_FLOOR,
-    })
-    assert speedup >= SHA256_SPEEDUP_FLOOR, (
-        f"sha256 fast path speedup {speedup:.1f}x < {SHA256_SPEEDUP_FLOOR}x"
-    )
-
-
 if __name__ == "__main__":
     test_aes_buffer_throughput()
     test_open_many_throughput()
-    test_sha256_fastpath()

@@ -11,15 +11,16 @@ Four measurements future PRs can regress against:
    the AES key-schedule LRU disabled vs enabled and asserts the cached hot
    path is >= 1.3x faster.  (The single-pass bucketing and the per-vector
    remainder index are structural and benefit both arms equally; the LRU
-   is the only toggleable layer.)  Pinned to the ``pure`` backend: the
-   ``tables`` backend keeps its own round-key cache and bypasses per-call
-   schedule lookup entirely.
+   is the only toggleable layer.)  Runs with ``PureBackend()`` in place
+   of the hot-path cipher: the batched ``TablesBackend`` keeps its own
+   round-key cache and bypasses per-call schedule lookup entirely.
 3. ``test_backend_end_to_end_speedup`` runs a candidate-heavy *engine*
    scenario (the paper's Table VII regime: large profiles, collision-rich
-   buckets, dozens of candidate keys per participant) under the ``pure``
-   and ``tables`` crypto backends and asserts backend=tables is >= 2x
-   faster end to end with byte-identical protocol outputs
-   (``ENGINE_BACKEND_SPEEDUP_FLOOR`` relaxes the floor on shared runners).
+   buckets, dozens of candidate keys per participant) on the hot-path
+   ``TablesBackend`` and with ``PureBackend()`` in its place, and asserts
+   the batched AES is >= 2x faster end to end with byte-identical
+   protocol outputs (``ENGINE_BACKEND_SPEEDUP_FLOOR`` relaxes the floor
+   on shared runners).
 4. ``test_run_parallel_identity`` asserts ``run_parallel(workers=4)``
    reproduces ``run`` episode-for-episode -- same matches (bytes and
    all), same metrics -- and reports the sharded wall clock.  The
@@ -38,15 +39,15 @@ import json
 import os
 import random
 import time
+from unittest import mock
 
 from repro.core.attributes import Profile, RequestProfile
 from repro.core.protocols import Initiator, Participant
 from repro.core.remainder import EnumerationBudget
-from repro.crypto import aes
-from repro.crypto.backend import current_backend, use_backend
+from repro.crypto import aes, backend
 from repro.network.engine import EngineResult, FriendingEngine
 from repro.network.simulator import AdHocNetwork
-from repro.network.topology import random_geometric_topology
+from repro.network.topology import city_topology
 
 N_NODES = 100
 N_EPISODES = 20
@@ -60,7 +61,7 @@ PARALLEL_SPEEDUP_FLOOR = float(os.environ.get("PARALLEL_SPEEDUP_FLOOR", "0"))
 
 
 def _build_network(rng: random.Random) -> tuple[AdHocNetwork, list[str]]:
-    adjacency, _ = random_geometric_topology(N_NODES, 0.18, seed=11)
+    adjacency, _ = city_topology(N_NODES, 0.18, seed=11)
     nodes = list(adjacency)
     participants = {}
     for i, node in enumerate(nodes):
@@ -115,7 +116,6 @@ def test_engine_throughput():
         "latency_p50_ms": agg.latency_p50_ms,
         "latency_p95_ms": agg.latency_p95_ms,
         "total_bytes": agg.total.total_bytes,
-        "backend": current_backend().name,
         "aes_schedule_cache": aes.schedule_cache_stats(),
     }
     print()
@@ -151,9 +151,10 @@ def _candidate_heavy_episode(
 def test_single_episode_cache_speedup():
     """The AES key-schedule cache must win >= 1.3x when keys repeat.
 
-    Runs on the ``pure`` backend, whose per-call ``AES(key)`` construction
-    is what the schedule LRU accelerates; the ``tables`` backend holds its
-    own round-key cache and never re-expands per call.
+    Runs with ``PureBackend()`` as the hot-path cipher: its per-call
+    ``AES(key)`` construction is what the schedule LRU accelerates, while
+    ``TablesBackend`` holds its own round-key cache and never re-expands
+    per call.
     """
     # Popular-profile scenario: every participant owns the same large
     # attribute set, so candidate keys repeat across users; p=7 with many
@@ -184,7 +185,7 @@ def test_single_episode_cache_speedup():
 
     # Warm-up outside either timed arm (import/alloc noise), then
     # interleaved best-of-3 per arm to keep scheduler noise out of the ratio.
-    with use_backend("pure"):
+    with mock.patch.object(backend, "CIPHER", backend.PureBackend()):
         aes.configure_schedule_cache(0)
         _candidate_heavy_episode(request, profile_attrs, 2, seed=1)
 
@@ -230,7 +231,7 @@ def _candidate_heavy_network() -> tuple[AdHocNetwork, list[tuple[str, Initiator]
     of candidate keys per participant and the symmetric hot path (batched
     trial decryption, reply sealing, reply opening) dominates episode time.
     """
-    adjacency, _ = random_geometric_topology(CH_NODES, 0.25, seed=11)
+    adjacency, _ = city_topology(CH_NODES, 0.25, seed=11)
     nodes = list(adjacency)
     tags = [f"pop:tag{i}" for i in range(6)]
     participants = {
@@ -269,11 +270,13 @@ def _episode_fingerprints(result: EngineResult) -> list[tuple]:
 
 
 def test_backend_end_to_end_speedup():
-    """backend=tables must be >= 2x end to end, with identical outputs."""
+    """The batched AES must be >= 2x the per-block one end to end, with
+    identical outputs."""
     aes.configure_schedule_cache(1024)
+    tables, pure = backend.CIPHER, backend.PureBackend()
 
-    def run_with(backend: str) -> tuple[float, EngineResult]:
-        with use_backend(backend):
+    def run_with(cipher) -> tuple[float, EngineResult]:
+        with mock.patch.object(backend, "CIPHER", cipher):
             network, launches = _candidate_heavy_network()
             engine = FriendingEngine(network)
             gc.disable()
@@ -287,13 +290,13 @@ def test_backend_end_to_end_speedup():
     # Interleaved best-of-2 keeps scheduler noise out of the ratio.
     pure_times, tables_times = [], []
     for _ in range(2):
-        t_pure, result_pure = run_with("pure")
+        t_pure, result_pure = run_with(pure)
         pure_times.append(t_pure)
-        t_tables, result_tables = run_with("tables")
+        t_tables, result_tables = run_with(tables)
         tables_times.append(t_tables)
 
     assert _episode_fingerprints(result_pure) == _episode_fingerprints(result_tables), (
-        "backends diverged: protocol outputs must be byte-identical"
+        "AES paths diverged: protocol outputs must be byte-identical"
     )
     assert result_pure.aggregate.as_dict() == result_tables.aggregate.as_dict()
     assert result_tables.aggregate.matches >= CH_EPISODES
@@ -315,7 +318,7 @@ def test_backend_end_to_end_speedup():
     print()
     print("PERF_RECORD " + json.dumps(record))
     assert speedup >= BACKEND_SPEEDUP_FLOOR, (
-        f"backend=tables end-to-end speedup {speedup:.2f}x < {BACKEND_SPEEDUP_FLOOR}x"
+        f"batched AES end-to-end speedup {speedup:.2f}x < {BACKEND_SPEEDUP_FLOOR}x"
     )
 
 
@@ -352,7 +355,6 @@ def test_run_parallel_identity():
         "sequential_seconds": round(t_seq, 4),
         "parallel_seconds": round(t_par, 4),
         "speedup": round(speedup, 2),
-        "backend": current_backend().name,
         "floor": PARALLEL_SPEEDUP_FLOOR or None,
     }
     print()

@@ -124,7 +124,6 @@ def _emit(
         "pr4_baseline_frames_per_wall_sec": PR4_BASELINE_FPS,
         "speedup_vs_pr4": round(speedup, 2),
         "floor": floor,
-        "backend": spec.backend,
     }
     print()
     print("PERF_RECORD " + json.dumps(record))

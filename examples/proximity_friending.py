@@ -14,7 +14,7 @@ import random
 
 from repro.core import Initiator, Participant, Profile
 from repro.core.location import LatticeSpec, vicinity_request
-from repro.network import AdHocNetwork, random_geometric_topology
+from repro.network import AdHocNetwork, city_topology
 
 MESH_SIZE = 40
 RADIO_RANGE = 0.25  # unit square
@@ -28,7 +28,7 @@ def main() -> None:
     rng = random.Random(7)
     spec = LatticeSpec(d=CELL)
 
-    adjacency, positions = random_geometric_topology(MESH_SIZE, RADIO_RANGE, seed=3)
+    adjacency, positions = city_topology(MESH_SIZE, RADIO_RANGE, seed=3)
     nodes = list(adjacency)
     initiator_node = nodes[0]
     ix, iy = (positions[initiator_node][0] * CAMPUS_SCALE,

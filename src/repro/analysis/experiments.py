@@ -39,7 +39,6 @@ from typing import Any, Mapping
 
 from repro.core.attributes import Profile, RequestProfile
 from repro.core.protocols import Initiator, Participant, Reply
-from repro.crypto.backend import available_backends, use_backend
 from repro.network.channel_model import CHANNEL_VERSIONS, ChannelModel
 from repro.network.churn import (
     SCENARIO_CHURN_SLEEP_MS,
@@ -80,11 +79,10 @@ ATTACKER_KINDS = ("cheating", "flooder")
 _SWEEPABLE = (
     "nodes", "protocol", "episodes", "arrival_rate_per_s", "mobility",
     "radio_radius", "refresh_interval_ms", "communities",
-    "tags_per_community", "seed", "until_ms", "backend", "workers",
-    "regions", "loss_rate", "dup_rate", "reorder_rate", "corrupt_rate",
-    "jitter_ms", "retries", "channel_version", "reliability",
-    "retransmit_timeout_ms", "profile", "churn_rate", "churn_crash_rate",
-    "fault_plan",
+    "tags_per_community", "seed", "until_ms", "workers", "regions",
+    "loss_rate", "dup_rate", "reorder_rate", "corrupt_rate", "jitter_ms",
+    "retries", "channel_version", "reliability", "retransmit_timeout_ms",
+    "profile", "churn_rate", "churn_crash_rate", "fault_plan",
 )
 
 
@@ -134,10 +132,6 @@ class ScenarioSpec:
         Master seed; see the module docstring for what it pins down.
     until_ms:
         Optional hard stop on the simulated clock.
-    backend:
-        Crypto backend the run measures -- ``"tables"`` (batched, the
-        default) or ``"pure"`` (the per-block reference).  Recorded in
-        the emitted JSON so perf records name the backend they measured.
     workers:
         Worker processes for the engine.  ``1`` runs every episode in
         one event queue; ``> 1`` shards episodes across processes via
@@ -222,7 +216,6 @@ class ScenarioSpec:
     tags_per_community: int = 3
     seed: int = 0
     until_ms: int | None = None
-    backend: str = "tables"
     workers: int = 1
     regions: int = 1
     loss_rate: float = 0.0
@@ -303,11 +296,6 @@ class ScenarioSpec:
             not isinstance(self.until_ms, int) or self.until_ms <= 0
         ):
             raise SpecError(f"until_ms must be a positive integer, got {self.until_ms!r}")
-        if self.backend not in available_backends():
-            raise SpecError(
-                f"unknown crypto backend {self.backend!r}; "
-                f"choose one of {', '.join(available_backends())}"
-            )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise SpecError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not isinstance(self.regions, int) or self.regions < 1:
@@ -772,7 +760,7 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     ``wall_seconds``, ``episodes_per_wall_sec``, ``episodes_per_sim_sec``,
     ``sim_duration_ms``, ``matches``, ``latency_p50_ms``,
     ``latency_p95_ms``, ``total_bytes``) plus scenario provenance,
-    including the crypto ``backend`` and ``workers`` the run measured.
+    including the ``workers`` the run measured.
     """
     prepared = _prepare_scenario(spec)
     engine = prepared.engine
@@ -783,18 +771,17 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     warnings = prepared.warnings
     topology_seconds = prepared.topology_seconds
 
-    with use_backend(spec.backend):
-        start = time.perf_counter()
-        if spec.open_world:
-            result = _run_open_world(spec, prepared)
-        else:
-            result = engine.run_staggered(
-                launches,
-                arrival_ms=spec.arrival_ms,
-                until_ms=spec.until_ms,
-                workers=spec.workers,
-            )
-        wall_s = time.perf_counter() - start
+    start = time.perf_counter()
+    if spec.open_world:
+        result = _run_open_world(spec, prepared)
+    else:
+        result = engine.run_staggered(
+            launches,
+            arrival_ms=spec.arrival_ms,
+            until_ms=spec.until_ms,
+            workers=spec.workers,
+        )
+    wall_s = time.perf_counter() - start
 
     agg = result.aggregate
     rejected = sum(len(ep.initiator.rejected) for ep in result.episodes)
@@ -807,7 +794,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "episodes": agg.episodes,
         "protocol": spec.protocol,
         "mobility": spec.mobility,
-        "backend": spec.backend,
         "workers": spec.workers,
         "regions": spec.regions,
         "loss_rate": spec.loss_rate,
@@ -869,7 +855,6 @@ def render_markdown_report(plan_name: str, records: list[dict[str, Any]]) -> str
         ("nodes", "nodes"),
         ("protocol", "proto"),
         ("mobility", "mobility"),
-        ("backend", "backend"),
         ("regions", "regions"),
         ("loss_rate", "loss"),
         ("channel_version", "chan-v"),

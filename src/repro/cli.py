@@ -31,7 +31,6 @@ from repro.dataset.stats import (
     profile_collision_cdf,
     unique_profile_fraction,
 )
-from repro.crypto.backend import available_backends, use_backend
 from repro.dataset.weibo import WeiboGenerator
 from repro.network.channel_model import ChannelModel
 from repro.network.engine import DEFAULT_RETRANSMIT_TIMEOUT_MS, FriendingEngine
@@ -39,7 +38,7 @@ from repro.network.profiles import BUILTIN_PROFILES, available_profiles
 from repro.network.regions import RegionShardedEngine
 from repro.network.reliability import available_reliability_modes
 from repro.network.simulator import AdHocNetwork
-from repro.network.topology import random_geometric_topology
+from repro.network.topology import city_topology
 
 __all__ = ["main", "build_parser"]
 
@@ -73,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--arrival-ms", type=int, default=50,
         help="stagger between consecutive episode starts (ms)",
-    )
-    simulate.add_argument(
-        "--backend", choices=available_backends(), default="tables",
-        help="crypto backend for the symmetric hot path (default: tables)",
     )
     simulate.add_argument(
         "--workers", type=int, default=1,
@@ -300,7 +295,6 @@ _SIMULATE_SPEC_FLAGS = {
     "protocol": ("protocol", 2),
     "seed": ("seed", 1),
     "episodes": ("episodes", 1),
-    "backend": ("backend", "tables"),
     "workers": ("workers", 1),
     "regions": ("regions", 1),
     "loss": ("loss_rate", 0.0),
@@ -425,24 +419,23 @@ def _cmd_simulate(args) -> int:
     if args.profile_top < 0:
         print("error: --profile-top must be >= 0", file=sys.stderr)
         return 2
-    with use_backend(args.backend):
-        if args.profile_top:
-            import cProfile
-            import io
-            import pstats
+    if args.profile_top:
+        import cProfile
+        import io
+        import pstats
 
-            profiler = cProfile.Profile()
-            profiler.enable()
-            code = _run_simulate(args, channel)
-            profiler.disable()
-            buffer = io.StringIO()
-            pstats.Stats(profiler, stream=buffer).sort_stats("tottime").print_stats(
-                args.profile_top
-            )
-            print()
-            print(buffer.getvalue().rstrip())
-            return code
-        return _run_simulate(args, channel)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        code = _run_simulate(args, channel)
+        profiler.disable()
+        buffer = io.StringIO()
+        pstats.Stats(profiler, stream=buffer).sort_stats("tottime").print_stats(
+            args.profile_top
+        )
+        print()
+        print(buffer.getvalue().rstrip())
+        return code
+    return _run_simulate(args, channel)
 
 
 def _run_simulate(args, channel: ChannelModel) -> int:
@@ -450,9 +443,7 @@ def _run_simulate(args, channel: ChannelModel) -> int:
     users = WeiboGenerator(
         n_users=args.nodes, tag_vocabulary=1_000, seed=args.seed
     ).generate()
-    adjacency, positions = random_geometric_topology(
-        args.nodes, args.radius, seed=args.seed
-    )
+    adjacency, positions = city_topology(args.nodes, args.radius, seed=args.seed)
     nodes = list(adjacency)
     episodes = max(1, args.episodes)
     if episodes > len(nodes):
@@ -534,7 +525,7 @@ def _run_simulate(args, channel: ChannelModel) -> int:
     print(render_table(
         f"concurrent friending (n={args.nodes}, episodes={episodes}, "
         f"arrival={args.arrival_ms}ms, protocol {args.protocol}, "
-        f"backend={args.backend}, workers={args.workers}, regions={args.regions})",
+        f"workers={args.workers}, regions={args.regions})",
         ["metric", "value"],
         [[k, v] for k, v in result.aggregate.as_dict().items() if v],
     ))

@@ -11,10 +11,13 @@ a bug — the conformance harness exists to surface both.
 
 Allowed building blocks (the spec names the *algorithms*, not a Python
 API): the stdlib (``hashlib``, ``hmac``, ``zlib.crc32``, ``fractions``)
-and the repo's AES-256-ECB primitive via
-:func:`repro.crypto.backend.current_backend` — AES is a cited standard
-cipher, not part of the wire codec under test.  The independence
-constraint covers the codecs, session semantics and protocol logic.
+and the repo's per-block FIPS-197 AES-256-ECB from
+:mod:`repro.crypto.modes` — AES is a cited standard cipher, not part of
+the wire codec under test.  The independence constraint covers the
+codecs, session semantics and protocol logic.  It extends to the cipher
+too: the repro stack seals and opens with the batched SWAR AES of
+:mod:`repro.crypto.backend`, this module with the per-block code, so a
+SWAR bug shows as a failed episode check.
 
 Deliberate scope cuts, each documented where it bites:
 
@@ -36,7 +39,7 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from repro.crypto.backend import current_backend
+from repro.crypto.modes import decrypt_ecb as _aes_decrypt, encrypt_ecb as _aes_encrypt
 
 __all__ = [
     "MiniRejection",
@@ -127,14 +130,6 @@ def mini_pair_key(x: bytes, y: bytes) -> bytes:
 
 def mini_group_key(x: bytes) -> bytes:
     return mini_hkdf(x, b"sealed-bottle group channel", 32)
-
-
-def _aes_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    return current_backend().encrypt_ecb(key, plaintext)
-
-
-def _aes_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    return current_backend().decrypt_ecb(key, ciphertext)
 
 
 # -- decoded message models ----------------------------------------------

@@ -33,7 +33,7 @@ from repro.core.remainder import (
     remainder_vector,
 )
 from repro.core.request import RequestPackage
-from repro.crypto.backend import current_backend
+from repro.crypto import backend
 
 __all__ = [
     "CONFIRMATION",
@@ -100,7 +100,7 @@ def seal_secret(key: bytes, protocol: int, x: bytes, counter: OpCounter = NULL_C
     plaintext = (CONFIRMATION + x) if protocol == 1 else x
     if counter is not NULL_COUNTER:
         counter.add("E", len(plaintext) // 16)
-    return current_backend().encrypt_ecb(key, plaintext)
+    return backend.CIPHER.encrypt_ecb(key, plaintext)
 
 
 def unseal_secret(
@@ -114,7 +114,7 @@ def unseal_secret(
     """
     if counter is not NULL_COUNTER:
         counter.add("D", len(ciphertext) // 16)
-    plaintext = current_backend().decrypt_ecb(key, ciphertext)
+    plaintext = backend.CIPHER.decrypt_ecb(key, ciphertext)
     if protocol == 1:
         if counter is not NULL_COUNTER:
             counter.add("CMP256")
@@ -131,12 +131,12 @@ def unseal_many(
 
     The Protocol 2/3 participant-side hot path: every candidate profile
     key yields *some* plausible ``x`` (no confirmation oracle), so all
-    keys must be tried.  The backend amortizes schedule lookup and the
-    round loops across the whole key set in one call.
+    keys must be tried.  The batched cipher amortizes schedule lookup and
+    the round loops across the whole key set in one call.
     """
     if counter is not NULL_COUNTER:
         counter.add("D", (len(ciphertext) // 16) * len(keys))
-    return current_backend().open_many(keys, ciphertext)
+    return backend.CIPHER.open_many(keys, ciphertext)
 
 
 def build_request(

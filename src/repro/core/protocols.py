@@ -39,7 +39,7 @@ from repro.core.matching import (
 from repro.core.profile_vector import ParticipantVector
 from repro.core.remainder import EnumerationBudget
 from repro.core.request import RequestPackage
-from repro.crypto.backend import current_backend
+from repro.crypto import backend
 from repro.crypto.hashes import hmac_sha256
 
 __all__ = [
@@ -106,7 +106,7 @@ def build_reply_element(
     plaintext = _reply_plaintext(similarity, y)
     if counter is not NULL_COUNTER:
         counter.add("E", len(plaintext) // 16)
-    return current_backend().encrypt_ecb(x_candidate, plaintext)
+    return backend.CIPHER.encrypt_ecb(x_candidate, plaintext)
 
 
 def open_reply_element(
@@ -122,7 +122,7 @@ def open_reply_element(
         return None
     if counter is not NULL_COUNTER:
         counter.add("D", len(element) // 16)
-    plaintext = current_backend().decrypt_ecb(x, element)
+    plaintext = backend.CIPHER.decrypt_ecb(x, element)
     if counter is not NULL_COUNTER:
         counter.add("CMP256")
     if plaintext[: len(ACK)] != ACK:
@@ -153,7 +153,7 @@ def open_reply_elements(
     valid = [e for e in elements if len(e) == _REPLY_PLAINTEXT_LEN]
     if not valid:
         return None
-    opened = current_backend().decrypt_ecb(x, b"".join(valid))
+    opened = backend.CIPHER.decrypt_ecb(x, b"".join(valid))
     ack_len = len(ACK)
     for i in range(len(valid)):
         if counter is not NULL_COUNTER:
@@ -388,7 +388,7 @@ class Participant:
         plaintext = _reply_plaintext(0, y)
         if self.counter is not NULL_COUNTER:
             self.counter.add("E", (len(plaintext) // 16) * len(x_candidates))
-        elements = current_backend().seal_many(x_candidates, plaintext)
+        elements = backend.CIPHER.seal_many(x_candidates, plaintext)
         self._pending_secrets.setdefault(package.request_id, []).extend(
             (x_candidate, y) for x_candidate in x_candidates
         )

@@ -2,12 +2,12 @@
 
 The paper's mechanism relies exclusively on symmetric primitives (SHA-256,
 AES-256) plus small-modulus arithmetic, while the baselines it compares
-against need big-number asymmetric primitives.  This package implements all
-of them with no third-party dependencies:
+against need big-number asymmetric primitives.  This package provides all
+of them from the standard library alone (SHA-256 is :mod:`hashlib`):
 
 - :mod:`repro.crypto.aes` -- FIPS-197 AES block cipher (128/192/256).
-- :mod:`repro.crypto.backend` -- pluggable ``pure``/``tables`` backends; the
-  ``tables`` backend batches whole buffers and key sets through one call.
+- :mod:`repro.crypto.backend` -- the batched SWAR AES the protocol hot path
+  calls (``CIPHER``), with the per-block code above as its reference.
 - :mod:`repro.crypto.modes` -- ECB/CBC/CTR modes and PKCS#7 padding.
 - :mod:`repro.crypto.authenticated` -- encrypt-then-MAC AEAD used for the
   post-match secure channel.
@@ -20,14 +20,6 @@ of them with no third-party dependencies:
 
 from repro.crypto.aes import AES
 from repro.crypto.authenticated import AuthenticatedCipher, AuthenticationError
-from repro.crypto.backend import (
-    CryptoBackend,
-    available_backends,
-    current_backend,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from repro.crypto.hashes import (
     sha256,
     sha256_int,
@@ -55,15 +47,9 @@ __all__ = [
     "AES",
     "AuthenticatedCipher",
     "AuthenticationError",
-    "CryptoBackend",
     "HmacDrbg",
     "PaddingError",
-    "available_backends",
     "bytes_to_int",
-    "current_backend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "ctr_keystream",
     "decrypt_cbc",
     "decrypt_ctr",

@@ -1,53 +1,41 @@
-"""Pluggable crypto backends: the batched symmetric hot path.
+"""The batched symmetric hot path: one AES for every friending episode.
 
 Every friending episode is dominated by symmetric work: sealing the
 request under the profile key, trial-decrypting the sealed message under
 every candidate key, sealing one acknowledge element per candidate, and
 the initiator opening reply elements (Tables IV-VII of the paper measure
-exactly this cost).  The seed implementation drives all of it through
-:mod:`repro.crypto.aes`'s per-block, per-round Python loops.
+exactly this cost).  The protocol code does all of it through one shared
+:class:`TablesBackend`, :data:`CIPHER`.
 
-This module introduces a backend seam with two implementations:
+:class:`TablesBackend` processes *whole multi-block buffers in one call*.
+SubBytes/InvSubBytes run through 256-byte translation tables via
+:meth:`bytes.translate` (C speed); ShiftRows, MixColumns and AddRoundKey
+run as SWAR bitwise algebra on one large integer covering the entire
+buffer, so the Python interpreter executes a few dozen operations per
+*round per buffer* instead of dozens per *round per block*.
+:meth:`~TablesBackend.open_many` and :meth:`~TablesBackend.seal_many`
+extend the same trick across keys: all candidate keys of a reply element
+are trial-decrypted in a single pass over one packed integer.
 
-``pure``
-    The from-scratch reference substrate, byte-for-byte the seed
-    behaviour: :mod:`repro.crypto.modes` per-block AES, plus the
-    from-scratch :func:`repro.crypto.sha256.sha256_pure` behind the
-    backend's ``sha256`` primitive.
+:class:`PureBackend` offers the same methods over
+:mod:`repro.crypto.modes`' per-block FIPS-197 code.  It is the reference
+the SWAR code is held to: the hypothesis equivalence properties in
+``tests/crypto/test_backend.py`` and the speed floors of
+``benchmarks/bench_crypto_backends.py`` compare the two directly, and the
+conformance mini-peer seals and opens with the per-block code, so every
+episode check is also a differential test of the SWAR AES.
 
-``tables`` (default)
-    A table-driven implementation that processes *whole multi-block
-    buffers in one call*.  SubBytes/InvSubBytes run through 256-byte
-    translation tables via :meth:`bytes.translate` (C speed); ShiftRows,
-    MixColumns and AddRoundKey run as SWAR bitwise algebra on one large
-    integer covering the entire buffer, so the Python interpreter
-    executes a few dozen operations per *round per buffer* instead of
-    dozens per *round per block*.  :meth:`~CryptoBackend.open_many` and
-    :meth:`~CryptoBackend.seal_many` extend the same trick across keys:
-    all candidate keys of a reply element are trial-decrypted in a
-    single pass over one packed integer.  SHA-256 takes the
-    :mod:`hashlib` fast path (stdlib only; the pure implementation is
-    kept and cross-checked in the tests).
-
-Both backends produce bit-identical ciphertext (pinned by hypothesis
-equivalence properties in ``tests/crypto/test_backend.py``), so backend
-choice is purely a speed/readability trade —
-``benchmarks/bench_crypto_backends.py`` quantifies it and appends the
-measurement to the ``BENCH_crypto.json`` trajectory.
-
-Scope note: the protocol hot path routes its *AES* work through the
-selected backend.  Profile hashing (:mod:`repro.crypto.hashes`) is
-hashlib everywhere — that already was the seed's fast path — so the
-backend's ``sha256`` primitive exists to make the pure-vs-hashlib gap
-measurable (the Table IV question), not to change protocol hashing.
+Call sites read ``backend.CIPHER`` at call time, never a copy bound at
+import, so a bench or test can substitute ``PureBackend()`` for one run.
+The one instance is shared on purpose: its round-key LRU serves both the
+participant's ``seal_many`` under x and the initiator's ``decrypt_ecb``
+under the same x.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from collections.abc import Sequence
-from contextlib import contextmanager
 
 from repro.crypto.aes import BLOCK_SIZE, _INV_SBOX, _RCON, _ROUNDS_BY_KEY_LEN, _SBOX
 from repro.crypto.modes import (
@@ -56,70 +44,12 @@ from repro.crypto.modes import (
     encrypt_ecb as _pure_encrypt_ecb,
     encrypt_ecb_under_keys as _pure_encrypt_under_keys,
 )
-from repro.crypto.sha256 import sha256_pure
 
-__all__ = [
-    "CryptoBackend",
-    "PureBackend",
-    "TablesBackend",
-    "available_backends",
-    "current_backend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-]
-
-DEFAULT_BACKEND = "tables"
+__all__ = ["CIPHER", "PureBackend", "TablesBackend"]
 
 
-class CryptoBackend:
-    """Interface every crypto backend implements.
-
-    All buffer arguments must be block-aligned (multiples of 16 bytes);
-    backends raise ``ValueError`` otherwise, matching
-    :mod:`repro.crypto.modes`.  Backends are stateless apart from
-    internal caches, so one instance can be shared freely.
-    """
-
-    name: str = "abstract"
-
-    def encrypt_ecb(self, key: bytes, plaintext: bytes) -> bytes:
-        """ECB-encrypt a whole block-aligned buffer under one key."""
-        raise NotImplementedError
-
-    def decrypt_ecb(self, key: bytes, ciphertext: bytes) -> bytes:
-        """ECB-decrypt a whole block-aligned buffer under one key."""
-        raise NotImplementedError
-
-    def seal_many(self, keys: Sequence[bytes], plaintext: bytes) -> list[bytes]:
-        """Encrypt one block-aligned plaintext under each of *keys*.
-
-        The reply-building hot path: a Protocol 2/3 candidate seals the
-        same acknowledge payload under every candidate key it recovered.
-        """
-        raise NotImplementedError
-
-    def open_many(self, keys: Sequence[bytes], ciphertext: bytes) -> list[bytes]:
-        """Trial-decrypt one block-aligned ciphertext under each of *keys*.
-
-        The participant-side hot path: the sealed message is opened under
-        every candidate profile key, amortizing schedule lookup and the
-        round loops across the whole key set.
-        """
-        raise NotImplementedError
-
-    def sha256(self, data: bytes) -> bytes:
-        """SHA-256 digest of *data*."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover -- debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class PureBackend(CryptoBackend):
-    """The seed behaviour: per-block pure-Python AES, from-scratch SHA-256."""
-
-    name = "pure"
+class PureBackend:
+    """The per-block FIPS-197 reference over :mod:`repro.crypto.modes`."""
 
     def encrypt_ecb(self, key: bytes, plaintext: bytes) -> bytes:
         return _pure_encrypt_ecb(key, plaintext)
@@ -138,9 +68,6 @@ class PureBackend(CryptoBackend):
             _require_aligned(ciphertext, "ciphertext")
             return []
         return _pure_decrypt_under_keys(keys, ciphertext)
-
-    def sha256(self, data: bytes) -> bytes:
-        return sha256_pure(data)
 
 
 # -- tables backend ----------------------------------------------------------
@@ -201,7 +128,7 @@ class _SwarMasks:
         self.rot3_lo = self.row[0] | self.row[1] | self.row[2]
 
 
-class TablesBackend(CryptoBackend):
+class TablesBackend:
     """Whole-buffer AES via translation tables + SWAR big-int algebra.
 
     One call encrypts/decrypts every block of the buffer: SubBytes is a
@@ -209,12 +136,12 @@ class TablesBackend(CryptoBackend):
     are a handful of mask/shift/xor operations on one arbitrary-precision
     integer, all executing in C.  Cost per round is therefore ~40 Python
     operations for the *entire* buffer, against ~60 per *block* for the
-    pure backend -- the bigger the batch, the bigger the win (the crypto
-    bench measures >20x on kilobyte buffers, >4x even on one 48-byte
-    reply element).
+    per-block reference -- the bigger the batch, the bigger the win (the
+    crypto bench measures >20x on kilobyte buffers, >4x even on one
+    48-byte reply element).  Buffers must be block-aligned; misaligned
+    input and bad key lengths raise ``ValueError``, as in
+    :mod:`repro.crypto.modes`.
     """
-
-    name = "tables"
 
     # Masks are pure functions of the block count; buffers repeat a small
     # set of shapes (48-byte elements, n_keys * 3 blocks, ...), so a
@@ -495,13 +422,21 @@ class TablesBackend(CryptoBackend):
         return results  # type: ignore[return-value]
 
     def seal_many(self, keys: Sequence[bytes], plaintext: bytes) -> list[bytes]:
+        """Encrypt one block-aligned plaintext under each of *keys*.
+
+        The reply-building hot path: a Protocol 2/3 candidate seals the
+        same acknowledge payload under every candidate key it recovered.
+        """
         return self._many(keys, plaintext, encrypt=True)
 
     def open_many(self, keys: Sequence[bytes], ciphertext: bytes) -> list[bytes]:
-        return self._many(keys, ciphertext, encrypt=False)
+        """Trial-decrypt one block-aligned ciphertext under each of *keys*.
 
-    def sha256(self, data: bytes) -> bytes:
-        return hashlib.sha256(data).digest()
+        The participant-side hot path: the sealed message is opened under
+        every candidate profile key, amortizing schedule lookup and the
+        round loops across the whole key set.
+        """
+        return self._many(keys, ciphertext, encrypt=False)
 
 
 def _require_aligned(data: bytes, kind: str) -> None:
@@ -514,51 +449,5 @@ def _validate_key_len(key_len: int) -> None:
         raise ValueError(f"AES key must be 16/24/32 bytes, got {key_len}")
 
 
-# -- registry ---------------------------------------------------------------
-
-_BACKENDS: dict[str, CryptoBackend] = {
-    PureBackend.name: PureBackend(),
-    TablesBackend.name: TablesBackend(),
-}
-_current: CryptoBackend = _BACKENDS[DEFAULT_BACKEND]
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the registered backends (stable order)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str) -> CryptoBackend:
-    """Look up a backend by name; raises ``ValueError`` on unknown names."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown crypto backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
-
-
-def current_backend() -> CryptoBackend:
-    """The backend the protocol hot path currently routes through."""
-    return _current
-
-
-def set_backend(name_or_backend: str | CryptoBackend) -> CryptoBackend:
-    """Select the process-wide backend; returns the previous one."""
-    global _current
-    previous = _current
-    if isinstance(name_or_backend, CryptoBackend):
-        _current = name_or_backend
-    else:
-        _current = get_backend(name_or_backend)
-    return previous
-
-
-@contextmanager
-def use_backend(name_or_backend: str | CryptoBackend):
-    """Temporarily select a backend (benchmarks, A/B comparisons, tests)."""
-    previous = set_backend(name_or_backend)
-    try:
-        yield _current
-    finally:
-        set_backend(previous)
+# The one cipher the protocol hot path calls (see the module docstring).
+CIPHER = TablesBackend()

@@ -28,7 +28,6 @@ from repro.network.topology import (
     line_topology,
     naive_adjacency,
     proximity_adjacency,
-    random_geometric_topology,
 )
 from repro.network.simulator import AdHocNetwork, FriendingResult, Node, RateLimiter
 from repro.network.engine import EngineResult, EpisodeResult, EpisodeSpec, FriendingEngine
@@ -71,5 +70,4 @@ __all__ = [
     "naive_adjacency",
     "percentile",
     "proximity_adjacency",
-    "random_geometric_topology",
 ]

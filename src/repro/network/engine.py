@@ -76,7 +76,6 @@ from repro.core.wire import (
     encode_segment_frame,
     reframe,
 )
-from repro.crypto.backend import current_backend, set_backend
 from repro.network.events import (
     BroadcastEvent,
     DeliveryEvent,
@@ -237,7 +236,6 @@ def _run_episode_shard(
     network: AdHocNetwork,
     indexed_specs: list[tuple[int, EpisodeSpec]],
     until_ms: int | None,
-    backend_name: str,
     retries: int,
     retransmit_timeout_ms: int,
     reliability: "str | ReliabilityMode" = "simple",
@@ -250,7 +248,6 @@ def _run_episode_shard(
     travel back.  The reliability mode pickles as plain field data (or a
     registry name) and is resolved worker-side.
     """
-    set_backend(backend_name)
     engine = FriendingEngine(
         network, retries=retries, retransmit_timeout_ms=retransmit_timeout_ms,
         reliability=reliability,
@@ -800,9 +797,7 @@ class FriendingEngine:
           caller-side state); capture frames with a sequential run;
         - session-table overflow is cross-episode coupling too: shard
           results match sequential ones only while no node's table fills
-          (see :mod:`repro.network.sessions`);
-        - the active crypto backend's *name* is forwarded to workers, so
-          sharded runs measure the same backend as sequential ones.
+          (see :mod:`repro.network.sessions`).
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -821,11 +816,10 @@ class FriendingEngine:
 
         indexed = list(enumerate(specs))
         shards = [indexed[w::workers] for w in range(workers)]
-        backend_name = current_backend().name
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _run_episode_shard, self.network, shard, until_ms, backend_name,
+                    _run_episode_shard, self.network, shard, until_ms,
                     self.retries, self.retransmit_timeout_ms, self.reliability,
                 )
                 for shard in shards

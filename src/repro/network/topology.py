@@ -6,21 +6,14 @@ the unit square (used by location-aware experiments).  Coordinates are
 unitless fractions of the deployment area's side length; radio range is
 expressed in the same unit.
 
-Two construction paths coexist:
-
-- :func:`random_geometric_topology` keeps the historical `networkx`
-  random-geometric graph (byte-identical output for a given seed, so
-  seeded tests and benchmarks stay stable) but stitches disconnected
-  components through a :class:`SpatialGrid` nearest-node search instead
-  of the old all-pairs scan.
-- :func:`city_topology` is the city-scale path: pure-Python position
-  sampling plus a :class:`SpatialGrid` adjacency build, O(n · k) for
-  average degree k instead of O(n²), with no `networkx`/`scipy`
-  dependency — use it for static 10k+ node graphs that must be
-  connected.  (The experiment runner derives its topologies from the
-  mobility models' grid-backed snapshots instead, which are *not*
-  stitched: a mid-run refresh would undo artificial links, so the runner
-  reports fragmentation rather than hiding it.)
+:func:`city_topology` is the random unit-disk graph at every scale:
+seeded position sampling plus a :class:`SpatialGrid` adjacency build,
+O(n · k) for average degree k instead of O(n²), with stray components
+stitched to the giant one so floods reach everyone.  (The experiment
+runner derives its topologies from the mobility models' grid-backed
+snapshots instead, which are *not* stitched: a mid-run refresh would
+undo artificial links, so the runner reports fragmentation rather than
+hiding it.)
 
 :func:`naive_adjacency` is the brute-force reference implementation that
 benchmarks and property tests compare the grid against.
@@ -37,7 +30,6 @@ __all__ = [
     "SpatialGrid",
     "naive_adjacency",
     "proximity_adjacency",
-    "random_geometric_topology",
     "city_topology",
     "grid_topology",
     "line_topology",
@@ -325,39 +317,6 @@ def _components(adjacency: Adjacency) -> list[set[str]]:
     return components
 
 
-def random_geometric_topology(
-    n: int,
-    radius: float = 0.2,
-    *,
-    seed: int | None = None,
-    connect: bool = True,
-) -> tuple[Adjacency, Positions]:
-    """Nodes uniform in the unit square; edges within *radius* (radio range).
-
-    Deterministic for a given *seed* (delegates position sampling and edge
-    construction to ``networkx.random_geometric_graph``, so seeded graphs
-    are stable across releases of this module).  With ``connect=True``,
-    isolated components are stitched to the giant component through their
-    closest node pair, so floods can reach everyone (a disconnected MANET
-    would trivially zero every metric); the closest pair is found with a
-    grid nearest-node search rather than an all-pairs scan.
-
-    For populations beyond a few thousand nodes prefer
-    :func:`city_topology`, which skips `networkx` entirely.
-    """
-    import networkx as nx
-
-    graph = nx.random_geometric_graph(n, radius, seed=seed)
-    pos = nx.get_node_attributes(graph, "pos")
-    adjacency = {
-        _node_id(i): [_node_id(j) for j in graph.neighbors(i)] for i in graph.nodes
-    }
-    positions = {_node_id(i): tuple(coord) for i, coord in pos.items()}
-    if connect and n > 1:
-        _connect_components(adjacency, positions, radius)
-    return adjacency, positions
-
-
 def city_topology(
     n: int,
     radius: float,
@@ -371,8 +330,11 @@ def city_topology(
     ``random.Random(seed)`` (deterministic for a given seed) and derives
     adjacency through a :class:`SpatialGrid`, so construction is O(n · k)
     for average degree k — practical for 10k+ node populations where the
-    all-pairs scan is not.  ``connect=True`` stitches stray components to
-    the giant one exactly as :func:`random_geometric_topology` does.
+    all-pairs scan is not.  With ``connect=True``, isolated components are
+    stitched to the giant component through their closest node pair, so
+    floods can reach everyone (a disconnected MANET would trivially zero
+    every metric); the closest pair is found with a grid nearest-node
+    search rather than an all-pairs scan.
 
     Note the expected degree is ``n · π · radius²``: keep *radius* near
     ``sqrt(target_degree / (π n))`` or dense cities become cliques.

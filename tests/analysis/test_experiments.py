@@ -87,12 +87,6 @@ class TestSpecValidation:
             {**TINY, "arrival_rate_per_s": 5000}
         ).arrival_ms == 1
 
-    def test_backend_defaults_and_validation(self):
-        assert ScenarioSpec().backend == "tables"
-        assert ScenarioSpec.from_dict({**TINY, "backend": "pure"}).backend == "pure"
-        with pytest.raises(SpecError, match="unknown crypto backend"):
-            ScenarioSpec.from_dict({**TINY, "backend": "openssl"})
-
     def test_workers_validation(self):
         assert ScenarioSpec().workers == 1
         assert ScenarioSpec.from_dict({**TINY, "workers": 4}).workers == 4
@@ -186,10 +180,8 @@ class TestRunScenario:
         assert record["nodes"] == 40
         assert record["episodes"] == 2
         assert record["matches"] > 0  # dense tiny city: communities must meet
-        # Perf records name the backend and worker count they measured.
-        assert record["backend"] == "tables"
+        # Perf records name the worker count they measured.
         assert record["workers"] == 1
-        assert record["spec"]["backend"] == "tables"
 
     def test_record_carries_channel_version(self):
         v1 = run_scenario(ScenarioSpec.from_dict({**TINY, "loss_rate": 0.1}))
@@ -239,17 +231,14 @@ class TestRunScenario:
         a, b = run_scenario(spec), run_scenario(spec)
         assert {k: a[k] for k in sim_keys} == {k: b[k] for k in sim_keys}
 
-    def test_backends_and_sharding_agree_on_results(self):
+    def test_sharding_agrees_on_results(self):
         sim_keys = (
             "matches", "sim_duration_ms", "nodes_reached", "replies",
             "latency_p50_ms", "latency_p95_ms", "total_bytes",
         )
         baseline = run_scenario(ScenarioSpec.from_dict(TINY))
-        pure = run_scenario(ScenarioSpec.from_dict({**TINY, "backend": "pure"}))
         sharded = run_scenario(ScenarioSpec.from_dict({**TINY, "workers": 2}))
-        assert {k: baseline[k] for k in sim_keys} == {k: pure[k] for k in sim_keys}
         assert {k: baseline[k] for k in sim_keys} == {k: sharded[k] for k in sim_keys}
-        assert pure["backend"] == "pure"
         assert sharded["workers"] == 2
 
     def test_deterministic_given_seed(self):

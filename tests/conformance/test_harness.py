@@ -8,7 +8,10 @@ Three layers of pinning:
   smoke subset and the full suite,
 * each deliberately-broken mutant peer fails at least one check — the
   proof the suite can actually detect spec violations, not merely bless
-  the happy path.
+  the happy path;
+* a deliberately-broken hot-path AES fails the episode checks: the mini
+  endpoint seals and opens with the per-block FIPS-197 code, so the suite
+  is a differential test of the batched SWAR cipher as well.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.conformance.mutants import (
     describe_mutant,
     mutant_peer,
 )
+from repro.crypto import backend
 
 pytestmark = pytest.mark.conformance
 
@@ -196,3 +200,29 @@ def test_honest_peer_shared_across_checks_still_green():
     records = run_suite(peer=MiniPeer())
     failed = [r["check"] for r in records if r["status"] != "pass"]
     assert not failed, f"shared-peer failures: {failed}"
+
+
+class _FlippedRoundKeyAES(backend.TablesBackend):
+    """The batched AES with one bit of every first round key flipped.
+
+    Encryption and decryption share the wrong schedule, so they still
+    invert each other: only an independent AES can tell.
+    """
+
+    def _expand_uncached(self, keys):
+        schedules = super()._expand_uncached(keys)
+        for round_keys in schedules:  # the cached lists, edited in place
+            round_keys[1] = bytes([round_keys[1][0] ^ 1]) + round_keys[1][1:]
+        return schedules
+
+
+def test_confidentiality_episodes_catch_a_self_consistent_aes_bug(monkeypatch):
+    """CONFIDENTIALITY: sealing under a wrong AES is a divergence.
+
+    A fresh broken instance stands in for the hot-path cipher, so the
+    shared instance's round-key cache is never touched.
+    """
+    monkeypatch.setattr(backend, "CIPHER", _FlippedRoundKeyAES())
+    failed = [r for r in run_suite("episodes") if r["status"] == "fail"]
+    assert failed, "a wrong but self-consistent AES passed every episode check"
+    assert all("CONFIDENTIALITY" in r["trust"] for r in failed), failed

@@ -1,26 +1,16 @@
-"""Crypto backend layer: registry, pure == tables equivalence, batching."""
+"""The batched SWAR AES against its per-block FIPS-197 reference."""
 
 from __future__ import annotations
-
-import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.backend import (
-    PureBackend,
-    TablesBackend,
-    available_backends,
-    current_backend,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.crypto.backend import CIPHER, PureBackend, TablesBackend
 from repro.crypto.modes import decrypt_ecb, encrypt_ecb
 
-PURE = get_backend("pure")
-TABLES = get_backend("tables")
+PURE = PureBackend()
+TABLES = CIPHER
 
 keys = st.sampled_from([16, 24, 32]).flatmap(
     lambda n: st.binary(min_size=n, max_size=n)
@@ -36,42 +26,12 @@ small_buffers = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
-class TestRegistry:
-    def test_available(self):
-        assert available_backends() == ("pure", "tables")
-        assert isinstance(get_backend("pure"), PureBackend)
-        assert isinstance(get_backend("tables"), TablesBackend)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown crypto backend"):
-            get_backend("openssl")
-        with pytest.raises(ValueError, match="unknown crypto backend"):
-            set_backend("openssl")
-
-    def test_default_is_tables(self):
-        assert current_backend().name == "tables"
-
-    def test_use_backend_restores(self):
-        before = current_backend()
-        with use_backend("pure") as active:
-            assert active.name == "pure"
-            assert current_backend() is active
-        assert current_backend() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = current_backend()
-        with pytest.raises(RuntimeError):
-            with use_backend("pure"):
-                raise RuntimeError("boom")
-        assert current_backend() is before
-
-    def test_use_backend_accepts_instance(self):
-        with use_backend(PURE) as active:
-            assert active is PURE
+def test_hot_path_calls_the_batched_cipher():
+    assert type(CIPHER) is TablesBackend
 
 
 class TestEquivalence:
-    """pure == tables, bit for bit, for every key size and buffer shape."""
+    """Batched == per-block, bit for bit, for every key size and buffer shape."""
 
     @settings(max_examples=40, deadline=None)
     @given(key=keys, plaintext=buffers)
@@ -110,13 +70,6 @@ class TestEquivalence:
         mixed = [key256, key128, key192, key256, key128]
         assert TABLES.open_many(mixed, payload) == PURE.open_many(mixed, payload)
         assert TABLES.seal_many(mixed, payload) == PURE.seal_many(mixed, payload)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.binary(min_size=0, max_size=512))
-    def test_sha256_cross_check(self, data):
-        digest = hashlib.sha256(data).digest()
-        assert PURE.sha256(data) == digest
-        assert TABLES.sha256(data) == digest
 
 
 class TestAlignmentRejection:
@@ -166,7 +119,7 @@ class TestEdgeCases:
             assert backend.open_many([], b"\x00" * 16) == []
 
     def test_fips197_vector(self):
-        # FIPS-197 Appendix C.1, through both backends' buffer paths.
+        # FIPS-197 Appendix C.1, through both buffer paths.
         key = bytes(range(16))
         plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
@@ -192,7 +145,6 @@ class TestBatchedKeySchedule:
     )
     def test_batch_equals_reference_schedule(self, key_len, seeds):
         from repro.crypto.aes import AES
-        from repro.crypto.backend import TablesBackend
 
         backend = TablesBackend()  # fresh instance: no cache interference
         keys = [(seed * 4)[:key_len] for seed in seeds]
@@ -205,8 +157,6 @@ class TestBatchedKeySchedule:
             assert schedule == reference[key]
 
     def test_cache_burst_does_not_lose_in_flight_hits(self):
-        from repro.crypto.backend import TablesBackend
-
         backend = TablesBackend()
         backend._RK_CACHE_MAX = 8  # force eviction pressure
         old = b"o" * 32

@@ -12,7 +12,7 @@ from repro.core.matching import process_request
 from repro.core.protocols import Initiator, Participant
 from repro.dataset.weibo import WeiboGenerator
 from repro.network.simulator import AdHocNetwork
-from repro.network.topology import random_geometric_topology
+from repro.network.topology import city_topology
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ class TestPopulationMatching:
 
 class TestNetworkedFriending:
     def test_weibo_population_over_geometric_network(self, population):
-        adjacency, _ = random_geometric_topology(60, radius=0.22, seed=11)
+        adjacency, _ = city_topology(60, radius=0.22, seed=11)
         nodes = list(adjacency)
         users = population[: len(nodes)]
         target_tags = [f"tag:{t}" for t in users[10].tags]
@@ -89,7 +89,7 @@ class TestNetworkedFriending:
         assert expected  # the target user itself is in the population
 
     def test_channel_works_after_networked_match(self, population):
-        adjacency, _ = random_geometric_topology(30, radius=0.3, seed=13)
+        adjacency, _ = city_topology(30, radius=0.3, seed=13)
         nodes = list(adjacency)
         match_profile = Profile(["tag:aa", "tag:bb"], user_id=nodes[5], normalized=True)
         participants = {node: None for node in nodes}

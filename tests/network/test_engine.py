@@ -11,11 +11,7 @@ from repro.core.entropy import AttributeDistribution, EntropyPolicy
 from repro.core.protocols import Initiator, Participant
 from repro.network.engine import EpisodeSpec, FriendingEngine
 from repro.network.simulator import AdHocNetwork, RateLimiter
-from repro.network.topology import (
-    complete_topology,
-    line_topology,
-    random_geometric_topology,
-)
+from repro.network.topology import city_topology, complete_topology, line_topology
 
 N_NODES = 100
 N_EPISODES = 20
@@ -57,7 +53,7 @@ def _episode_initiator(episode: int) -> Initiator:
 class TestDeterminism:
     def test_concurrent_matches_equal_sequential(self):
         """20 overlapping episodes == the same episodes run in isolation."""
-        adjacency, _ = random_geometric_topology(N_NODES, 0.18, seed=42)
+        adjacency, _ = city_topology(N_NODES, 0.18, seed=42)
         nodes = list(adjacency)
         stagger_ms = 7
 
@@ -93,7 +89,7 @@ class TestDeterminism:
 
     def test_every_community_found(self):
         """Sanity: the determinism scenario finds matches, not empty sets."""
-        adjacency, _ = random_geometric_topology(N_NODES, 0.18, seed=42)
+        adjacency, _ = city_topology(N_NODES, 0.18, seed=42)
         nodes = list(adjacency)
         network = AdHocNetwork(adjacency, _community_participants(nodes))
         launches = [
@@ -257,7 +253,7 @@ class TestRateLimiterWindow:
 
 class TestAggregation:
     def test_staggered_starts_and_percentiles(self):
-        adjacency, _ = random_geometric_topology(30, 0.3, seed=5)
+        adjacency, _ = city_topology(30, 0.3, seed=5)
         nodes = list(adjacency)
         participants = {
             node: Participant(

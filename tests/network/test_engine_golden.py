@@ -21,7 +21,7 @@ from repro.core.attributes import Profile, RequestProfile
 from repro.core.protocols import Initiator, Participant
 from repro.network.engine import FriendingEngine
 from repro.network.simulator import AdHocNetwork
-from repro.network.topology import line_topology, random_geometric_topology
+from repro.network.topology import city_topology, line_topology
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_perfect_channel.json").read_text()
@@ -32,7 +32,7 @@ N_EPISODES = 12
 
 
 def _build_community():
-    adjacency, _ = random_geometric_topology(N_NODES, 0.22, seed=42)
+    adjacency, _ = city_topology(N_NODES, 0.22, seed=42)
     nodes = list(adjacency)
     participants = {
         node: Participant(

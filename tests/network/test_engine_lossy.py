@@ -11,14 +11,14 @@ from repro.core.protocols import Initiator, Participant
 from repro.network.channel_model import ChannelModel
 from repro.network.engine import EpisodeSpec, FriendingEngine
 from repro.network.simulator import AdHocNetwork
-from repro.network.topology import line_topology, random_geometric_topology
+from repro.network.topology import city_topology, line_topology
 
 N_NODES = 60
 N_EPISODES = 12
 
 
 def _build(channel=None, **network_kwargs):
-    adjacency, _ = random_geometric_topology(N_NODES, 0.22, seed=42)
+    adjacency, _ = city_topology(N_NODES, 0.22, seed=42)
     nodes = list(adjacency)
     participants = {
         node: Participant(

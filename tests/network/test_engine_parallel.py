@@ -8,10 +8,9 @@ import pytest
 
 from repro.core.attributes import Profile, RequestProfile
 from repro.core.protocols import Initiator, Participant
-from repro.crypto.backend import use_backend
 from repro.network.engine import EpisodeSpec, FriendingEngine
 from repro.network.simulator import AdHocNetwork
-from repro.network.topology import line_topology, random_geometric_topology
+from repro.network.topology import city_topology, line_topology
 
 N_NODES = 60
 N_EPISODES = 12
@@ -21,7 +20,7 @@ def _build() -> tuple[AdHocNetwork, list[tuple[str, Initiator]]]:
     """Community scenario with per-entity seeded RNGs (the determinism
     precondition run_parallel inherits from the engine's episode-isolation
     property)."""
-    adjacency, _ = random_geometric_topology(N_NODES, 0.22, seed=42)
+    adjacency, _ = city_topology(N_NODES, 0.22, seed=42)
     nodes = list(adjacency)
     participants = {
         node: Participant(
@@ -95,17 +94,6 @@ class TestParallelDeterminism:
         assert [ep.started_at_ms for ep in result.episodes] == [
             7 * i for i in range(N_EPISODES)
         ]
-
-    def test_parallel_is_backend_agnostic(self):
-        """Sharded workers inherit the caller's backend selection."""
-        results = {}
-        for backend in ("pure", "tables"):
-            with use_backend(backend):
-                network, launches = _build()
-                results[backend] = FriendingEngine(network).run_staggered(
-                    launches[:4], arrival_ms=7, workers=2
-                )
-        assert _fingerprints(results["pure"]) == _fingerprints(results["tables"])
 
     def test_workers_one_delegates_to_run(self):
         network, launches = _build()

@@ -24,7 +24,7 @@ from repro.network.reliability import (
     xor_bytes,
 )
 from repro.network.simulator import AdHocNetwork
-from repro.network.topology import random_geometric_topology
+from repro.network.topology import city_topology
 
 N_NODES = 60
 N_EPISODES = 12
@@ -34,7 +34,7 @@ LOSSY = dict(drop_rate=0.1, dup_rate=0.05, reorder_rate=0.1,
 
 
 def _build(channel=None, **network_kwargs):
-    adjacency, _ = random_geometric_topology(N_NODES, 0.22, seed=42)
+    adjacency, _ = city_topology(N_NODES, 0.22, seed=42)
     nodes = list(adjacency)
     participants = {
         node: Participant(

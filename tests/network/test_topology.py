@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,40 +18,18 @@ from repro.network.topology import (
     line_topology,
     naive_adjacency,
     proximity_adjacency,
-    random_geometric_topology,
 )
 
 
 def _is_connected(adjacency):
-    graph = nx.Graph()
-    graph.add_nodes_from(adjacency)
-    for node, neighbours in adjacency.items():
-        for other in neighbours:
-            graph.add_edge(node, other)
-    return nx.is_connected(graph)
-
-
-class TestRandomGeometric:
-    def test_connected_by_default(self):
-        adjacency, _ = random_geometric_topology(40, radius=0.15, seed=3)
-        assert _is_connected(adjacency)
-
-    def test_symmetric_edges(self):
-        adjacency, _ = random_geometric_topology(30, radius=0.3, seed=1)
-        for node, neighbours in adjacency.items():
-            for other in neighbours:
-                assert node in adjacency[other]
-
-    def test_positions_in_unit_square(self):
-        _, positions = random_geometric_topology(20, seed=2)
-        for x, y in positions.values():
-            assert 0.0 <= x <= 1.0
-            assert 0.0 <= y <= 1.0
-
-    def test_deterministic_with_seed(self):
-        a, _ = random_geometric_topology(25, seed=9)
-        b, _ = random_geometric_topology(25, seed=9)
-        assert a == b
+    start = next(iter(adjacency))
+    reached, frontier = {start}, [start]
+    while frontier:
+        for other in adjacency[frontier.pop()]:
+            if other not in reached:
+                reached.add(other)
+                frontier.append(other)
+    return len(reached) == len(adjacency)
 
 
 class TestGrid:

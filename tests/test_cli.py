@@ -72,43 +72,18 @@ class TestConcurrentSimulate:
     def test_too_many_episodes_rejected(self, capsys):
         assert main(["simulate", "--nodes", "5", "--episodes", "50"]) == 2
 
-    def test_backend_flag_parsed(self):
-        args = build_parser().parse_args(["simulate", "--backend", "pure"])
-        assert args.backend == "pure"
-        assert build_parser().parse_args(["simulate"]).backend == "tables"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--backend", "openssl"])
-
     def test_bad_workers_rejected(self, capsys):
         assert main(["simulate", "--nodes", "10", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_simulate_with_backend_and_workers(self, capsys):
+    def test_simulate_with_workers(self, capsys):
         assert main([
             "simulate", "--nodes", "24", "--episodes", "4", "--arrival-ms", "20",
-            "--backend", "pure", "--workers", "2",
+            "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "backend=pure" in out
         assert "workers=2" in out
         assert "per-episode outcomes" in out
-
-    def test_backend_choice_leaves_outcomes_unchanged(self, capsys):
-        outputs = {}
-        for backend in ("pure", "tables"):
-            assert main([
-                "simulate", "--nodes", "24", "--episodes", "3",
-                "--backend", backend,
-            ]) == 0
-            out = capsys.readouterr().out
-            # Strip the title line (it names the backend); the measured
-            # tables must be identical.
-            outputs[backend] = [
-                line for line in out.splitlines() if "backend=" not in line
-            ]
-        assert outputs["pure"] == outputs["tables"]
 
     def test_workers_choice_leaves_outcomes_unchanged(self, capsys):
         """Sharding identity holds on the CLI path, lossy channel included.

@@ -3,9 +3,11 @@
 - No compiled-Python artifacts may ever be tracked.  The CI guard step
   runs the same check shell-side; this test keeps it in tier-1 so a stray
   ``git add -A`` fails locally before it reaches CI.
-- No module under ``repro`` imports numpy: the package needs only the
-  standard library and networkx, and a numpy import costs every run about
-  12 MiB of peak RSS.
+- No run path loads a third-party module: the package needs only the
+  standard library.  Importing every ``repro`` module, one lossy
+  scenario and the default ``repro simulate`` must leave numpy, scipy and
+  networkx unloaded; a numpy import alone costs every run about 12 MiB
+  of peak RSS.
 - ``setup.py`` resolves its metadata from ``pyproject.toml``.
 """
 
@@ -21,17 +23,20 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _IMPORT_EVERYTHING_AND_RUN = """
-import importlib, pkgutil, sys
+import contextlib, importlib, io, pkgutil, sys
 import repro
 for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
 from repro.analysis.experiments import ScenarioSpec, run_scenario
+from repro.cli import main
 record = run_scenario(ScenarioSpec(
     nodes=60, episodes=2, radio_radius=0.3, loss_rate=0.1,
     channel_version=2, seed=1,
 ))
 assert record["frames_sent"] > 0, record
-print("numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate"]) == 0
+print(sorted(m for m in ("networkx", "numpy", "scipy") if m in sys.modules))
 """
 
 
@@ -56,14 +61,15 @@ def test_no_tracked_pycache_or_bytecode():
 
 
 def test_no_repro_module_imports_numpy():
-    """Every ``repro`` module imported plus one lossy scenario: no numpy."""
+    """Every ``repro`` module, one lossy scenario and the default
+    ``repro simulate``: no numpy, scipy or networkx."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_EVERYTHING_AND_RUN],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False", "a repro module imported numpy"
+    assert out.stdout.strip() == "[]", f"a repro run path loaded {out.stdout.strip()}"
 
 
 def test_setup_py_resolves_the_project_name():

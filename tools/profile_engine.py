@@ -33,7 +33,6 @@ import sys
 def profile_spec(spec, *, top: int, sort: str, out=sys.stdout) -> pstats.Stats:
     """Profile one engine run of *spec*; print the report; return the stats."""
     from repro.analysis.experiments import _build_population
-    from repro.crypto.backend import use_backend
     from repro.network.channel_model import ChannelModel
     from repro.network.engine import FriendingEngine
     from repro.network.mobility import RandomWaypoint, StaticPlacement
@@ -81,12 +80,11 @@ def profile_spec(spec, *, top: int, sort: str, out=sys.stdout) -> pstats.Stats:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with use_backend(spec.backend):
-            profiler.enable()
-            result = engine.run_staggered(
-                launches, arrival_ms=spec.arrival_ms, until_ms=spec.until_ms
-            )
-            profiler.disable()
+        profiler.enable()
+        result = engine.run_staggered(
+            launches, arrival_ms=spec.arrival_ms, until_ms=spec.until_ms
+        )
+        profiler.disable()
     finally:
         if gc_was_enabled:
             gc.enable()
