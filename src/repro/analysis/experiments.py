@@ -54,7 +54,6 @@ from repro.network.engine import (
 from repro.network.faults import compile_campaign, load_fault_plan
 from repro.network.mobility import RandomWaypoint, StaticPlacement
 from repro.network.profiles import load_profile
-from repro.network.regions import RegionShardedEngine
 from repro.network.reliability import load_reliability_mode
 from repro.network.simulator import AdHocNetwork
 
@@ -79,7 +78,7 @@ ATTACKER_KINDS = ("cheating", "flooder")
 _SWEEPABLE = (
     "nodes", "protocol", "episodes", "arrival_rate_per_s", "mobility",
     "radio_radius", "refresh_interval_ms", "communities",
-    "tags_per_community", "seed", "until_ms", "workers", "regions",
+    "tags_per_community", "seed", "until_ms", "workers",
     "loss_rate", "dup_rate", "reorder_rate", "corrupt_rate", "jitter_ms",
     "retries", "channel_version", "reliability", "retransmit_timeout_ms",
     "profile", "churn_rate", "churn_crash_rate", "fault_plan",
@@ -137,14 +136,6 @@ class ScenarioSpec:
         one event queue; ``> 1`` shards episodes across processes via
         :meth:`~repro.network.engine.FriendingEngine.run_parallel`
         (incompatible with ``refresh_interval_ms``).
-    regions:
-        Spatial shards for the engine.  ``1`` (default) keeps the single
-        calendar queue; ``> 1`` partitions the city into that many
-        contiguous regions and runs the flood through
-        :class:`~repro.network.regions.RegionShardedEngine` — results
-        are byte-identical to ``regions=1`` by construction, so this is
-        a pure performance knob.  Incompatible with ``workers > 1``
-        (pick one sharding axis).
     loss_rate / dup_rate / reorder_rate / corrupt_rate / jitter_ms:
         The per-hop :class:`~repro.network.channel_model.ChannelModel`
         every frame passes through: probability that a transmitted frame
@@ -191,16 +182,15 @@ class ScenarioSpec:
         :class:`~repro.network.churn.ChurnRunner`; departed nodes wake
         after :data:`~repro.network.churn.SCENARIO_CHURN_SLEEP_MS`.  The
         schedule is a counter-mode function of ``(seed, spec)`` alone, so
-        churn-enabled runs stay reproducible and sharded == sequential.
+        churn-enabled runs stay reproducible.
         Zero (the default) keeps the closed-world ``run_staggered`` path
         byte for byte.  Incompatible with ``refresh_interval_ms`` and
         ``workers > 1``.
     fault_plan:
         Optional name of a registered fault campaign
         (:mod:`repro.network.faults`): timed initiator crashes,
-        blackouts, session-table pressure or region-worker restarts
-        applied at fractions of the run horizon.  Implies the open-world
-        path like churn does.
+        blackouts or session-table pressure applied at fractions of the
+        run horizon.  Implies the open-world path like churn does.
     """
 
     name: str = "scenario"
@@ -217,7 +207,6 @@ class ScenarioSpec:
     seed: int = 0
     until_ms: int | None = None
     workers: int = 1
-    regions: int = 1
     loss_rate: float = 0.0
     dup_rate: float = 0.0
     reorder_rate: float = 0.0
@@ -298,13 +287,6 @@ class ScenarioSpec:
             raise SpecError(f"until_ms must be a positive integer, got {self.until_ms!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise SpecError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not isinstance(self.regions, int) or self.regions < 1:
-            raise SpecError(f"regions must be an integer >= 1, got {self.regions!r}")
-        if self.workers > 1 and self.regions > 1:
-            raise SpecError(
-                "workers > 1 shards episodes and regions > 1 shards the city; "
-                "the two sharding axes are mutually exclusive -- pick one"
-            )
         for rate_field in ("loss_rate", "dup_rate", "reorder_rate", "corrupt_rate"):
             value = getattr(self, rate_field)
             if not isinstance(value, (int, float)) or not 0 <= value <= 1:
@@ -379,7 +361,7 @@ class ScenarioSpec:
                 raise SpecError(
                     "churn/fault runs need one live engine to join/crash nodes "
                     "in; workers > 1 shards episodes across processes -- use "
-                    "workers=1 (regions > 1 is fine)"
+                    "workers=1"
                 )
 
     @property
@@ -670,15 +652,7 @@ def _prepare_scenario(spec: ScenarioSpec) -> _PreparedScenario:
             radio_radius=spec.radio_radius,
             refresh_interval_ms=spec.refresh_interval_ms,
         )
-    if spec.regions > 1:
-        engine = RegionShardedEngine(
-            network,
-            positions=mobility.positions(),
-            regions=spec.regions,
-            **engine_kwargs,
-        )
-    else:
-        engine = FriendingEngine(network, **engine_kwargs)
+    engine = FriendingEngine(network, **engine_kwargs)
     return _PreparedScenario(
         mobility=mobility,
         engine=engine,
@@ -795,7 +769,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "protocol": spec.protocol,
         "mobility": spec.mobility,
         "workers": spec.workers,
-        "regions": spec.regions,
         "loss_rate": spec.loss_rate,
         "dup_rate": spec.dup_rate,
         "reorder_rate": spec.reorder_rate,
@@ -844,7 +817,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "nodes_crashed": agg.total.nodes_crashed,
         "orphaned_replies": agg.total.orphaned_replies,
         "degraded_episodes": agg.total.degraded_episodes,
-        "region_restarts": result.region_restarts,
     }
 
 
@@ -855,7 +827,6 @@ def render_markdown_report(plan_name: str, records: list[dict[str, Any]]) -> str
         ("nodes", "nodes"),
         ("protocol", "proto"),
         ("mobility", "mobility"),
-        ("regions", "regions"),
         ("loss_rate", "loss"),
         ("channel_version", "chan-v"),
         ("reliability", "mode"),

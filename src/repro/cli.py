@@ -35,7 +35,6 @@ from repro.dataset.weibo import WeiboGenerator
 from repro.network.channel_model import ChannelModel
 from repro.network.engine import DEFAULT_RETRANSMIT_TIMEOUT_MS, FriendingEngine
 from repro.network.profiles import BUILTIN_PROFILES, available_profiles
-from repro.network.regions import RegionShardedEngine
 from repro.network.reliability import available_reliability_modes
 from repro.network.simulator import AdHocNetwork
 from repro.network.topology import city_topology
@@ -76,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--workers", type=int, default=1,
         help="shard episodes across N processes (default: 1 = one event queue)",
-    )
-    simulate.add_argument(
-        "--regions", type=int, default=1,
-        help="shard the city into N contiguous regions (default: 1 = one "
-             "calendar queue); byte-identical results, mutually exclusive "
-             "with --workers > 1 (docs/performance.md)",
     )
     simulate.add_argument(
         "--loss", type=float, default=0.0, metavar="P",
@@ -148,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--fault-plan", default=None, metavar="NAME",
         help="named fault campaign to inject (initiator crashes, blackouts, "
-             "session pressure, region restarts); unknown names list the "
-             "registered campaigns (docs/robustness.md)",
+             "session pressure); unknown names list the registered campaigns "
+             "(docs/robustness.md)",
     )
     simulate.add_argument(
         "--profile-top", type=int, default=0, metavar="N",
@@ -296,7 +289,6 @@ _SIMULATE_SPEC_FLAGS = {
     "seed": ("seed", 1),
     "episodes": ("episodes", 1),
     "workers": ("workers", 1),
-    "regions": ("regions", 1),
     "loss": ("loss_rate", 0.0),
     "dup": ("dup_rate", 0.0),
     "reorder": ("reorder_rate", 0.0),
@@ -342,7 +334,7 @@ def _print_scenario_record(title: str, record) -> None:
         keys += [
             "churn_rate", "churn_crash_rate", "fault_plan", "nodes_joined",
             "nodes_left", "nodes_crashed", "orphaned_replies",
-            "degraded_episodes", "region_restarts",
+            "degraded_episodes",
         ]
     print(render_table(title, ["metric", "value"], [[k, record[k]] for k in keys]))
     for warning in record["warnings"]:
@@ -383,13 +375,6 @@ def _run_simulate_churn(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.regions < 1:
-        print("error: --regions must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers > 1 and args.regions > 1:
-        print("error: --workers shards episodes and --regions shards the city; "
-              "the two are mutually exclusive", file=sys.stderr)
         return 2
     if args.profile is not None:
         if args.profile_top:
@@ -443,7 +428,7 @@ def _run_simulate(args, channel: ChannelModel) -> int:
     users = WeiboGenerator(
         n_users=args.nodes, tag_vocabulary=1_000, seed=args.seed
     ).generate()
-    adjacency, positions = city_topology(args.nodes, args.radius, seed=args.seed)
+    adjacency, _ = city_topology(args.nodes, args.radius, seed=args.seed)
     nodes = list(adjacency)
     episodes = max(1, args.episodes)
     if episodes > len(nodes):
@@ -468,7 +453,7 @@ def _run_simulate(args, channel: ChannelModel) -> int:
             rng=random.Random(args.seed * 1000 + episode),
         )
 
-    if episodes == 1 and args.regions == 1:
+    if episodes == 1:
         participants = {}
         for node, user in zip(nodes, users):
             participants[node] = Participant(
@@ -507,17 +492,12 @@ def _run_simulate(args, channel: ChannelModel) -> int:
         initiator_node = nodes[(i * stride) % len(nodes)]
         target = users[(i * stride + len(users) // 2) % len(users)]
         launches.append((initiator_node, initiator_for(target, episode=i)))
-    engine_kwargs = dict(
+    engine = FriendingEngine(
+        network,
         retries=args.retries,
         retransmit_timeout_ms=args.retransmit_timeout_ms,
         reliability=args.reliability,
     )
-    if args.regions > 1:
-        engine = RegionShardedEngine(
-            network, positions=positions, regions=args.regions, **engine_kwargs
-        )
-    else:
-        engine = FriendingEngine(network, **engine_kwargs)
     result = engine.run_staggered(
         launches, arrival_ms=args.arrival_ms, workers=args.workers
     )
@@ -525,7 +505,7 @@ def _run_simulate(args, channel: ChannelModel) -> int:
     print(render_table(
         f"concurrent friending (n={args.nodes}, episodes={episodes}, "
         f"arrival={args.arrival_ms}ms, protocol {args.protocol}, "
-        f"workers={args.workers}, regions={args.regions})",
+        f"workers={args.workers})",
         ["metric", "value"],
         [[k, v] for k, v in result.aggregate.as_dict().items() if v],
     ))

@@ -11,9 +11,9 @@ it.  Two rules carry over from the channel planes:
    when a 32-bit word falls below :func:`~repro.network.channel_backend.
    fate_threshold`\\ ``(p)``, exactly the ChannelModel v2 fate
    discipline.  No shared RNG stream threads through the run, so a
-   churn-enabled run reproduces from ``(seed, spec)`` byte for byte,
-   and sequential == region-sharded holds (the schedule is computed
-   outside the engines and applied at identical step boundaries).
+   churn-enabled run reproduces from ``(seed, spec)`` byte for byte
+   (the schedule is computed outside the engine and applied at
+   identical step boundaries).
 2. **Deterministic application.**  Victims are drawn by indexing the
    *sorted* live population with a schedule word; joiners get ids
    ``j0, j1, ...`` (disjoint from the ``n{i}`` population), positions
@@ -120,8 +120,8 @@ class ChurnModel:
     words 0-2 gate join/leave/crash against their per-tick thresholds,
     words 3-4 place a joiner in the unit square, words 5-6 are the
     leave/crash victim draws.  The schedule for any window is therefore
-    reproducible, prefix-stable (extending the horizon never changes
-    earlier events) and identical however the run is sharded.
+    reproducible and prefix-stable (extending the horizon never changes
+    earlier events).
     """
 
     def __init__(self, spec: ChurnSpec, seed: int):
@@ -173,10 +173,10 @@ class ChurnRunner:
     """Drive an open-world engine through churn, wakes and fault actions.
 
     The runner owns the *application* side of determinism: it steps the
-    engine to each action boundary (so every engine -- sequential or
-    sharded -- executes exactly the same events before the same action),
-    resolves victims against its sorted live set, computes join
-    neighbourhoods from positions, and books sleep-wake returns.
+    engine to each action boundary (so a run executes exactly the same
+    events before the same action), resolves victims against its sorted
+    live set, computes join neighbourhoods from positions, and books
+    sleep-wake returns.
 
     Parameters
     ----------
@@ -259,10 +259,7 @@ class ChurnRunner:
                 if self.participant_factory is not None
                 else None
             )
-            engine.join_node(
-                node_id, participant, self._neighbours_of(node_id),
-                position=(event.x, event.y),
-            )
+            engine.join_node(node_id, participant, self._neighbours_of(node_id))
         else:
             candidates = sorted(self.live)
             if not candidates:
@@ -287,10 +284,7 @@ class ChurnRunner:
         if node_id in self.live:  # pragma: no cover -- victims leave the live set
             return
         self.live.add(node_id)
-        self.engine.join_node(
-            node_id, None, self._neighbours_of(node_id),
-            position=self.positions[node_id],
-        )
+        self.engine.join_node(node_id, None, self._neighbours_of(node_id))
         self.events_applied += 1
 
     def _apply_fault(self, action) -> None:

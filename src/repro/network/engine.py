@@ -181,7 +181,6 @@ class EngineResult:
     aggregate: AggregateMetrics
     completed_at_ms: int
     topology_refreshes: int = 0
-    region_restarts: int = 0
 
 
 class _SegmentState:
@@ -342,7 +341,6 @@ class FriendingEngine:
         self.decode_cache_cap = decode_cache_cap
         self.reject_cache_cap = reject_cache_cap
         self.topology_refreshes = 0
-        self.region_restarts = 0
         self._episodes: list[_Episode | None] = []
         self._queue: EventQueue | None = None
         self._pending_episode_events = 0
@@ -403,15 +401,10 @@ class FriendingEngine:
         self._queue.run(until_ms=until_ms)
         return self._collect_results(first_start)
 
-    def _make_queue(self, first_start: int):
-        """Build the run's event queue (seam for the region-sharded engine)."""
-        return EventQueue(first_start)
-
     def _reset_run_state(self, first_start: int) -> None:
         """Fresh per-run state: queue, caches, counters, churn accounting."""
-        self._queue = self._make_queue(first_start)
+        self._queue = EventQueue(first_start)
         self.topology_refreshes = 0
-        self.region_restarts = 0
         self._pending_episode_events = 0
         self._package_cache = _BoundedCache(self.decode_cache_cap)
         self._frame_cache = _BoundedCache(self.decode_cache_cap)
@@ -516,9 +509,6 @@ class FriendingEngine:
         self._reset_run_state(first_start)
         self._episodes = []
         self._open_world = True
-        # Admissions here use the ordinary setup root context (exactly like
-        # _setup_run); only mid-run inject() needs the special root keys of
-        # the region-sharded engine.
         for i, spec in enumerate(specs):
             episode = _Episode(spec, i)
             self._episodes.append(episode)
@@ -568,20 +558,15 @@ class FriendingEngine:
             )
         episode = _Episode(spec, len(self._episodes))
         self._episodes.append(episode)
-        self._begin_roots()
         self._admit_episode(episode, now_ms)
-        self._end_roots()
         return episode.index
 
     def join_node(self, node_id: str, participant=None,
-                  neighbours: list[str] | tuple[str, ...] = (), *,
-                  position: tuple[float, float] | None = None):
+                  neighbours: list[str] | tuple[str, ...] = ()):
         """A node arrives (brand new) or wakes (previously departed).
 
         A waking node keeps whatever session state survived its sleep (a
-        crash wiped it already).  *position* is required by the
-        region-sharded engine to home the joiner; the sequential engine
-        accepts and ignores it, so churn drivers call both identically.
+        crash wiped it already).
         """
         if not self._open_world:
             raise RuntimeError("join_node() requires begin() first")
@@ -597,7 +582,6 @@ class FriendingEngine:
             self._departed.discard(node_id)
             network.add_node(node_id, participant, neighbours)
         self.churn_metrics.nodes_joined += 1
-        self._note_joined(node_id, position)
 
     def leave_node(self, node_id: str, *, crash: bool = False) -> None:
         """A node departs: detached from the mesh, deliveries to it dropped.
@@ -649,24 +633,6 @@ class FriendingEngine:
         if node_id not in self._departed:
             raise ValueError(f"node {node_id!r} has not departed")
         self.network.forget_node(node_id)
-
-    def restart_region(self, region: int) -> int:
-        """Sequential engines have no region workers to kill: a no-op.
-
-        The region-sharded engine overrides this with a real
-        kill-and-recover (:meth:`repro.network.regions.RegionShardedEngine.
-        restart_region`); fault campaigns call it unconditionally.
-        """
-        return 0
-
-    def _note_joined(self, node_id: str, position) -> None:
-        """Seam: the region-sharded engine homes the joiner by position."""
-
-    def _begin_roots(self) -> None:
-        """Seam: the region-sharded engine opens an injection root context."""
-
-    def _end_roots(self) -> None:
-        """Seam: the region-sharded engine closes it and routes the outbox."""
 
     # -- open-world introspection -------------------------------------------
 
@@ -756,7 +722,6 @@ class FriendingEngine:
                                       extra=self.churn_metrics),
             completed_at_ms=self._queue.now_ms,
             topology_refreshes=self.topology_refreshes,
-            region_restarts=self.region_restarts,
         )
 
     def run_parallel(
@@ -1256,20 +1221,7 @@ class FriendingEngine:
                 ),
             )
         if record is not None:
-            self._record_segments(episode, responder, via, hops, record)
-
-    def _record_segments(
-        self, episode: _Episode, responder: str, via: str, hops: int,
-        record: dict[int, bytes],
-    ) -> None:
-        """Retain the sender-side segment record for selective waves.
-
-        Seam for the region-sharded engine: there the responder and the
-        initiator endpoint may live on different shard workers, so the
-        record travels home as a :class:`SegmentRecordEvent` instead of a
-        direct write (:mod:`repro.network.regions`).
-        """
-        episode.seg_sent[responder] = (via, hops, record)
+            episode.seg_sent[responder] = (via, hops, record)
 
     def _on_reply_hop(self, event: ReplyHopEvent) -> None:
         episode = self._episodes[event.episode]

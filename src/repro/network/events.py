@@ -35,7 +35,6 @@ __all__ = [
     "ReplyHopEvent",
     "RetransmitEvent",
     "SegmentFlushEvent",
-    "SegmentRecordEvent",
     "TopologyRefreshEvent",
 ]
 
@@ -133,29 +132,6 @@ class SegmentFlushEvent:
     """
 
     episode: int
-
-
-@dataclass(frozen=True, slots=True)
-class SegmentRecordEvent:
-    """Ship a responder's sender-side segment record to the episode endpoint.
-
-    Under selective-retransmission reliability the engine records the
-    encoded data-segment frames a responder sent (``_Episode.seg_sent``)
-    so a later wave can re-send exactly the missing ones.  The sequential
-    engine writes that record in place; a region-sharded run executes the
-    responder and the initiator endpoint on different workers, so the
-    record travels as an explicit event instead -- scheduled at the same
-    processing latency as the segments themselves, which is provably
-    before any reader: a selective wave only consults the record for
-    responders that already appear in ``seg_rx``, and the first segment
-    cannot arrive before one extra hop of latency.
-    """
-
-    episode: int
-    responder: str
-    via: str
-    hops: int
-    record: "dict[int, bytes]"
 
 
 @dataclass(frozen=True, slots=True)

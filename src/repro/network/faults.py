@@ -3,12 +3,11 @@
 A *fault campaign* is a declarative list of timed actions injected into a
 run by the :class:`~repro.network.churn.ChurnRunner`: initiator crashes
 mid-flood (session state lost), population blackouts with staged
-recovery, session-table pressure bursts, and region-worker
-kill-and-restart in the :class:`~repro.network.regions.
-RegionShardedEngine`.  Campaigns are resolved by name exactly like
-scenario profiles and reliability modes (the Snippet-registry idiom):
-unknown names raise a ``ValueError`` listing the available choices, so a
-typo in a spec or on the CLI fails loudly with the menu in hand.
+recovery, and session-table pressure bursts.  Campaigns are resolved by
+name exactly like scenario profiles and reliability modes (the
+Snippet-registry idiom): unknown names raise a ``ValueError`` listing the
+available choices, so a typo in a spec or on the CLI fails loudly with
+the menu in hand.
 
 Action times are *fractions of the run horizon* (``at`` in ``[0, 1]``),
 so one campaign applies meaningfully to a 10-second scenario and a
@@ -31,7 +30,7 @@ __all__ = [
     "load_fault_plan",
 ]
 
-FAULT_KINDS = ("crash_initiator", "crash_fraction", "session_pressure", "region_restart")
+FAULT_KINDS = ("crash_initiator", "crash_fraction", "session_pressure")
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class FaultAction:
     them at ``wake_after`` (fraction of horizon, None = never);
     ``session_pressure`` opens ``count`` short-lived synthetic sessions
     (TTL ``ttl_ms``) on every live node, squeezing real floods against
-    the bounded tables; ``region_restart`` kills and recovers every
-    region worker's queue (a sequential engine has none: no-op).
+    the bounded tables.
     """
 
     at: float
@@ -102,12 +100,6 @@ FAULT_PLANS: MappingProxyType = MappingProxyType({
         "burst 64 short-lived synthetic sessions onto every node's bounded "
         "table early in the run (overflow/eviction pressure on real floods)",
         (FaultAction(at=0.20, kind="session_pressure", count=64, ttl_ms=2_000),),
-    ),
-    "region-restart": FaultCampaign(
-        "region-restart",
-        "kill and recover every region worker's calendar queue mid-run; the "
-        "genealogy-key rebuild must keep the run byte-identical",
-        (FaultAction(at=0.50, kind="region_restart"),),
     ),
 })
 
@@ -166,7 +158,7 @@ def apply_fault_action(runner, action: FaultAction) -> None:
         stride = max(1, round(1.0 / action.fraction))
         for victim in candidates[::stride]:
             _crash(victim)
-    elif action.kind == "session_pressure":
+    else:  # session_pressure
         import hashlib
 
         for node_id in sorted(runner.live):
@@ -179,6 +171,3 @@ def apply_fault_action(runner, action: FaultAction) -> None:
                     rid, parent=None, hops=1,
                     expires_ms=now_ms + action.ttl_ms, now_ms=now_ms,
                 )
-    else:  # region_restart
-        for region in range(getattr(engine, "regions", 1)):
-            engine.restart_region(region)

@@ -96,12 +96,10 @@ class NetworkMetrics:
         """Accumulate *other* into this instance (engine-level aggregation).
 
         Every counter is owned by exactly one accumulator at a time — the
-        engine's per-episode split and the region-sharded runtime's
-        per-worker metrics both rely on each increment landing in exactly
-        one operand, so merging in any grouping sums to the same totals.
-        ``reply_latency_ms`` is order-sensitive: callers merge shards in
-        a canonical order (episode order, region index order) so the
-        concatenated list is reproducible.
+        engine's per-episode split relies on each increment landing in
+        exactly one operand, so merging in any grouping sums to the same
+        totals.  ``reply_latency_ms`` is order-sensitive: callers merge in
+        episode order so the concatenated list is reproducible.
         """
         for name in _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))

@@ -149,30 +149,6 @@ class SessionTable:
                 return
         raise RuntimeError("session table full but expiry heap empty")  # pragma: no cover
 
-    def export_rows(self) -> list[Session]:
-        """Snapshot every live session row for a node hand-off.
-
-        Region re-homing moves a node between shard workers; its routing
-        state (reverse-path parents, wave marks, deadlines) must move with
-        it or the node would re-process floods it already served.  Rows
-        come out in insertion order so :meth:`adopt_rows` rebuilds an
-        equivalent table deterministically.
-        """
-        return list(self._sessions.values())
-
-    def adopt_rows(self, rows: list[Session]) -> None:
-        """Install rows exported from another table (node hand-off).
-
-        Rows are adopted verbatim -- same expiry deadlines, same wave
-        marks -- and re-indexed on this table's expiry heap.  Existing
-        rows with the same request id are replaced (the exporter owns the
-        freshest state).  Adoption bypasses the overflow policy: a
-        hand-off is state the node already holds, not new admission.
-        """
-        for row in rows:
-            self._sessions[row.request_id] = row
-            heapq.heappush(self._expiry_heap, (row.expires_ms, row.request_id))
-
     def __len__(self) -> int:
         return len(self._sessions)
 

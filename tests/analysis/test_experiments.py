@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,25 @@ class TestSpecValidation:
                 "mobility": "random_waypoint",
                 "refresh_interval_ms": 100,
                 "workers": 2,
+            })
+
+    @pytest.mark.parametrize("open_world", [
+        {"churn_rate": 1.0}, {"fault_plan": "blackout"},
+    ])
+    def test_open_world_incompatible_with_workers(self, open_world):
+        with pytest.raises(SpecError, match=r"need one live engine to "
+                                            r"join/crash nodes in; .* use workers=1$"):
+            ScenarioSpec.from_dict({**TINY, **open_world, "workers": 2})
+
+    @pytest.mark.parametrize("open_world", [
+        {"churn_rate": 1.0}, {"fault_plan": "blackout"},
+    ])
+    def test_open_world_incompatible_with_refresh(self, open_world):
+        with pytest.raises(SpecError, match="exclusive with mid-run topology refreshes"):
+            ScenarioSpec.from_dict({
+                **TINY, **open_world,
+                "mobility": "random_waypoint",
+                "refresh_interval_ms": 100,
             })
 
 
@@ -310,3 +333,30 @@ class TestRunPlan:
         report = render_markdown_report("demo", records)
         assert report.count("| s") >= 2
         assert "```json" in report
+
+
+class TestProfileTool:
+    """``tools/profile_engine.py`` profiles the run a record measures."""
+
+    @pytest.mark.parametrize("extra", [
+        {"mobility": "static"},
+        {"fault_plan": "initiator-crash", "until_ms": 200},
+    ])
+    def test_reports_the_frames_and_matches_of_run_scenario(self, extra):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+        import profile_engine
+
+        spec = ScenarioSpec.from_dict({
+            "name": "profiled", "nodes": 150, "episodes": 4, "seed": 3,
+            "radio_radius": 0.14, "loss_rate": 0.1, "channel_version": 2,
+            "reliability": "window_fec", **extra,
+        })
+        out = io.StringIO()
+        profile_engine.profile_spec(spec, top=1, sort="tottime", out=out)
+        frames, matches = re.search(
+            r"(\d+) frames, (\d+) matches", out.getvalue()
+        ).groups()
+        record = run_scenario(spec)
+        assert (int(frames), int(matches)) == (
+            record["frames_sent"], record["matches"]
+        )

@@ -2,11 +2,10 @@
 
 The churn plane inherits the channel planes' determinism contract: every
 schedule decision is a pure function of ``(seed, spec)``, so churn-enabled
-runs reproduce byte for byte, extending the horizon never rewrites
-history, and the region count stays invisible.  The hypothesis property
-at the bottom is the tentpole's graceful-degradation guarantee: joins,
-leaves, crashes and injections at *arbitrary* times never deadlock the
-drain or wedge a region barrier.
+runs reproduce byte for byte and extending the horizon never rewrites
+history.  The hypothesis property at the bottom is the graceful-degradation
+guarantee: joins, leaves, crashes and injections at *arbitrary* times
+never deadlock the drain.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.core.protocols import Initiator, Participant
 from repro.network.channel_model import ChannelModel
 from repro.network.churn import ChurnEvent, ChurnModel, ChurnRunner, ChurnSpec
 from repro.network.engine import EpisodeSpec, FriendingEngine
-from repro.network.regions import RegionShardedEngine
 from repro.network.simulator import AdHocNetwork
 from repro.network.topology import city_topology
 
@@ -129,13 +127,6 @@ class TestScenarioChurn:
         assert {k: a[k] for k in RESULT_KEYS} == {k: b[k] for k in RESULT_KEYS}
         assert a["nodes_joined"] > 0 and a["nodes_left"] > 0
 
-    def test_sharded_equals_sequential_under_churn(self):
-        sequential = _churn_record(regions=1)
-        sharded = _churn_record(regions=2)
-        assert {k: sequential[k] for k in RESULT_KEYS} == {
-            k: sharded[k] for k in RESULT_KEYS
-        }
-
     def test_seed_changes_the_run(self):
         assert {k: _churn_record()[k] for k in RESULT_KEYS} != {
             k: _churn_record(seed=12)[k] for k in RESULT_KEYS
@@ -204,7 +195,7 @@ class TestCrashMidFlood:
 _ACTIONS = st.lists(
     st.tuples(
         st.integers(min_value=1, max_value=400),      # step target offset
-        st.sampled_from(["join", "leave", "crash", "inject", "restart"]),
+        st.sampled_from(["join", "leave", "crash", "inject"]),
         st.integers(min_value=0, max_value=10**6),    # victim/placement draw
     ),
     min_size=1, max_size=12,
@@ -214,17 +205,10 @@ _ACTIONS = st.lists(
 class TestNeverDeadlocks:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(actions=_ACTIONS, regions=st.sampled_from([1, 2]))
-    def test_arbitrary_churn_completes(self, actions, regions):
-        network, positions, nodes = _mini_city()
-        if regions == 1:
-            engine = FriendingEngine(network, retries=1,
-                                     retransmit_timeout_ms=150)
-        else:
-            engine = RegionShardedEngine(
-                network, positions=positions, regions=regions,
-                retries=1, retransmit_timeout_ms=150,
-            )
+    @given(actions=_ACTIONS)
+    def test_arbitrary_churn_completes(self, actions):
+        network, _, nodes = _mini_city()
+        engine = FriendingEngine(network, retries=1, retransmit_timeout_ms=150)
         engine.begin([
             EpisodeSpec(initiator_node=nodes[0], initiator=_mini_initiator(0),
                         start_ms=0),
@@ -240,8 +224,7 @@ class TestNeverDeadlocks:
                 name = f"h{joined}"
                 joined += 1
                 neighbours = sorted(live)[draw % len(live):][:3] if live else []
-                x = (draw % 1000) / 1000
-                engine.join_node(name, None, neighbours, position=(x, x))
+                engine.join_node(name, None, neighbours)
                 live.add(name)
             elif kind in ("leave", "crash") and len(live) > 3:
                 victim = sorted(live)[draw % len(live)]
@@ -257,9 +240,6 @@ class TestNeverDeadlocks:
                     start_ms=max(engine._queue.now_ms, now),
                 ))
                 injected += 1
-            elif kind == "restart":
-                for region in range(regions):
-                    engine.restart_region(region)
         result = engine.finish()
         assert engine.live_episode_count() == 0
         assert not engine.wedged_episodes()
@@ -299,14 +279,13 @@ class TestSleepWake:
 class TestOpenWorld10kGolden:
     """churn=0 through begin/step/finish reproduces the PR-4 flood bytes."""
 
-    def _stepped_record(self, *, channel_version: int, regions: int = 1):
+    def _stepped_record(self, *, channel_version: int):
         from repro.analysis.experiments import load_plan
 
         plan = load_plan(SPEC_10K)
         (spec,) = [s for s in plan.specs if s.loss_rate == 0.1]
         spec = ScenarioSpec.from_dict({
             **spec.as_dict(), "channel_version": channel_version,
-            "regions": regions,
         })
         prepared = _prepare_scenario(spec)
         engine = prepared.engine
@@ -330,35 +309,21 @@ class TestOpenWorld10kGolden:
         assert agg.total.frames_sent == 29461
         assert agg.matches == 104
 
-    def test_v2_golden_sharded(self):
-        agg = self._stepped_record(channel_version=2, regions=2)
-        assert agg.total.frames_sent == 29461
-        assert agg.matches == 104
-
 
 @pytest.mark.slow
-class TestChurn10kSharded:
-    """A churn-enabled 10k lossy city: regions=2 == regions=1, and the run
-    is reproducible from (seed, spec) alone."""
+class TestChurn10k:
+    """A churn-enabled 10k lossy city really churns."""
 
-    def _record(self, regions: int):
+    def test_nodes_join(self):
         from repro.analysis.experiments import load_plan
 
         plan = load_plan(SPEC_10K)
         (spec,) = [s for s in plan.specs if s.loss_rate == 0.1]
         spec = ScenarioSpec.from_dict({
-            **spec.as_dict(), "channel_version": 2, "regions": regions,
+            **spec.as_dict(), "channel_version": 2,
             "churn_rate": 4.0, "churn_crash_rate": 0.5, "until_ms": 10_000,
         })
-        return run_scenario(spec)
-
-    def test_sharded_equals_sequential(self):
-        sequential = self._record(regions=1)
-        sharded = self._record(regions=2)
-        assert sequential["nodes_joined"] > 0
-        assert {k: sequential[k] for k in RESULT_KEYS} == {
-            k: sharded[k] for k in RESULT_KEYS
-        }
+        assert run_scenario(spec)["nodes_joined"] > 0
 
 
 # -- shared runner plumbing ---------------------------------------------------

@@ -2,11 +2,11 @@
 
 The incremental API must be invisible when nothing open-world happens:
 ``begin()`` + ``step()`` chunks + ``finish()`` reproduces ``run()`` byte
-for byte across both channel fate planes, all four reliability modes and
-region sharding.  On top of that sit the genuinely open-world behaviours:
-mid-run episode injection (identical under sharding), node departure
-degrading -- never wedging -- episodes, per-episode state retirement, and
-the LRU bounds on the decode caches.
+for byte across both channel fate planes and all four reliability modes.
+On top of that sit the genuinely open-world behaviours: mid-run episode
+injection, node departure degrading -- never wedging -- episodes,
+per-episode state retirement, the LRU bounds on the decode caches, and
+the loud refusal of a mobility model.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.network.engine import (
     FriendingEngine,
     _BoundedCache,
 )
-from repro.network.regions import RegionShardedEngine
+from repro.network.mobility import StaticPlacement
 from repro.network.simulator import AdHocNetwork
 from repro.network.topology import city_topology
 
@@ -37,7 +37,7 @@ LOSSY = dict(drop_rate=0.1, dup_rate=0.05, reorder_rate=0.1,
 
 
 def _build(version: int = 1):
-    adjacency, positions = city_topology(N_NODES, radius=0.11, seed=42)
+    adjacency, _ = city_topology(N_NODES, radius=0.11, seed=42)
     nodes = list(adjacency)
     participants = {
         node: Participant(
@@ -50,7 +50,7 @@ def _build(version: int = 1):
         for i, node in enumerate(nodes)
     }
     channel = ChannelModel(**LOSSY, version=version)
-    return AdHocNetwork(adjacency, participants, channel=channel), positions, nodes
+    return AdHocNetwork(adjacency, participants, channel=channel), nodes
 
 
 def _initiator(episode: int) -> Initiator:
@@ -75,12 +75,9 @@ def _specs(nodes, arrival_ms: int = 7):
     ]
 
 
-def _engine(network, positions, *, regions: int, reliability: str):
-    kwargs = dict(retries=2, retransmit_timeout_ms=200, reliability=reliability)
-    if regions == 1:
-        return FriendingEngine(network, **kwargs)
-    return RegionShardedEngine(
-        network, positions=positions, regions=regions, **kwargs
+def _engine(network, *, reliability: str):
+    return FriendingEngine(
+        network, retries=2, retransmit_timeout_ms=200, reliability=reliability
     )
 
 
@@ -104,15 +101,12 @@ class TestStepEqualsRun:
     @pytest.mark.parametrize(
         "reliability", ["simple", "stage", "window", "window_fec"]
     )
-    @pytest.mark.parametrize("regions", [1, 2])
-    def test_matrix(self, version, reliability, regions):
-        network, positions, nodes = _build(version)
-        closed = _engine(network, positions, regions=regions,
-                         reliability=reliability).run(_specs(nodes))
+    def test_matrix(self, version, reliability):
+        network, nodes = _build(version)
+        closed = _engine(network, reliability=reliability).run(_specs(nodes))
 
-        network, positions, nodes = _build(version)
-        engine = _engine(network, positions, regions=regions,
-                         reliability=reliability)
+        network, nodes = _build(version)
+        engine = _engine(network, reliability=reliability)
         engine.begin(_specs(nodes))
         for until in range(50, 2_000, 50):  # arbitrary chunk boundaries
             engine.step(until)
@@ -124,7 +118,7 @@ class TestStepEqualsRun:
         assert closed.completed_at_ms == stepped.completed_at_ms
 
     def test_step_returns_executed_count(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         engine.begin(_specs(nodes))
         total = 0
@@ -136,11 +130,11 @@ class TestStepEqualsRun:
 
 
 class TestInjection:
-    """Episodes injected at arbitrary sim times, sequential == sharded."""
+    """Episodes injected at arbitrary sim times."""
 
-    def _run_with_inject(self, regions: int):
-        network, positions, nodes = _build()
-        engine = _engine(network, positions, regions=regions, reliability="simple")
+    def test_injected_episodes_run(self):
+        network, nodes = _build()
+        engine = _engine(network, reliability="simple")
         engine.begin(_specs(nodes)[:2])
         engine.step(40)
         idx = engine.inject(EpisodeSpec(
@@ -153,18 +147,12 @@ class TestInjection:
             initiator_node=nodes[N_NODES // 3], initiator=_initiator(3),
             start_ms=engine._queue.now_ms + 5,
         ))
-        return engine.finish()
-
-    def test_sequential_equals_sharded(self):
-        sequential = self._run_with_inject(regions=1)
-        sharded = self._run_with_inject(regions=2)
-        assert len(sequential.episodes) == 4
-        assert sequential.episodes[2].matches  # injected episode really ran
-        assert _fingerprints(sequential) == _fingerprints(sharded)
-        assert sequential.aggregate.as_dict() == sharded.aggregate.as_dict()
+        result = engine.finish()
+        assert len(result.episodes) == 4
+        assert result.episodes[2].matches  # injected episode really ran
 
     def test_inject_into_the_past_is_rejected(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         engine.begin(_specs(nodes)[:1])
         engine.step(500)
@@ -174,15 +162,25 @@ class TestInjection:
             ))
 
     def test_inject_requires_begin(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         with pytest.raises(RuntimeError):
             engine.inject(EpisodeSpec(
                 initiator_node=nodes[0], initiator=_initiator(0), start_ms=0,
             ))
 
+    def test_begin_rejects_a_mobility_model(self):
+        network, nodes = _build()
+        engine = FriendingEngine(
+            network, mobility=StaticPlacement(nodes, seed=1), radio_radius=0.11,
+            refresh_interval_ms=100,
+        )
+        with pytest.raises(ValueError, match="open-world stepping does not "
+                                             "support a mobility model"):
+            engine.begin(_specs(nodes))
+
     def test_inject_on_departed_node_is_rejected(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         engine.begin(_specs(nodes)[:1])
         engine.leave_node(nodes[5])
@@ -196,7 +194,7 @@ class TestDegradation:
     """Departed initiators degrade their episodes; the drain always ends."""
 
     def test_initiator_departure_degrades_but_completes(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network, retries=2, retransmit_timeout_ms=200)
         specs = _specs(nodes)[:2]
         engine.begin(specs)
@@ -212,7 +210,7 @@ class TestDegradation:
         assert result.episodes[1].matches
 
     def test_crash_resets_volatile_state(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         engine.begin(_specs(nodes)[:1])
         engine.step(30)
@@ -224,7 +222,7 @@ class TestDegradation:
         engine.finish()
 
     def test_join_wires_node_into_the_mesh(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         engine.begin(_specs(nodes)[:1])
         engine.join_node("fresh", None, [nodes[0], nodes[1]])
@@ -240,7 +238,7 @@ class TestRetirement:
     """Settled episodes free their state without waiting for finish()."""
 
     def test_episodes_retire_as_they_settle(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         engine.begin(_specs(nodes))
         assert engine.live_episode_count() == N_EPISODES
@@ -252,7 +250,7 @@ class TestRetirement:
         assert all(ep.matches is not None for ep in result.episodes)
 
     def test_retired_initiator_lookup_returns_none(self):
-        network, positions, nodes = _build()
+        network, nodes = _build()
         engine = FriendingEngine(network)
         engine.begin(_specs(nodes)[:1])
         assert engine.episode_initiator_node(0) == nodes[0]
@@ -279,7 +277,7 @@ class TestBoundedCaches:
             FriendingEngine(_build()[0], decode_cache_cap=2)
 
     def test_engine_caches_stay_bounded_under_load(self):
-        network, positions, nodes = _build(version=2)
+        network, nodes = _build(version=2)
         engine = FriendingEngine(
             network, decode_cache_cap=16, reject_cache_cap=4,
         )
@@ -291,7 +289,7 @@ class TestBoundedCaches:
     def test_default_caps_never_evict_in_closed_world(self):
         """The golden-pinned runs fit far inside the default caps, so the
         bound cannot perturb closed-world byte-identity."""
-        network, positions, nodes = _build(version=2)
+        network, nodes = _build(version=2)
         engine = FriendingEngine(network)
         engine.run(_specs(nodes))
         assert len(engine._frame_cache) < DEFAULT_DECODE_CACHE_CAP // 4

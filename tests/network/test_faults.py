@@ -1,4 +1,4 @@
-"""Fault campaigns: registry shape, action semantics, recovery identity."""
+"""Fault campaigns: registry shape, action semantics, spec integration."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.network.faults import (
     compile_campaign,
     load_fault_plan,
 )
-from repro.network.regions import RegionShardedEngine
 from repro.network.simulator import AdHocNetwork
 from repro.network.topology import city_topology
 
@@ -51,7 +50,7 @@ class TestRegistry:
 class TestActionValidation:
     def test_at_must_be_fraction(self):
         with pytest.raises(ValueError, match="horizon fraction"):
-            FaultAction(at=1.5, kind="region_restart")
+            FaultAction(at=1.5, kind="crash_initiator")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -73,15 +72,15 @@ class TestActionValidation:
     def test_campaign_must_be_time_ordered(self):
         with pytest.raises(ValueError, match="time-ordered"):
             FaultCampaign("bad", "x", (
-                FaultAction(at=0.9, kind="region_restart"),
-                FaultAction(at=0.1, kind="region_restart"),
+                FaultAction(at=0.9, kind="crash_initiator"),
+                FaultAction(at=0.1, kind="crash_initiator"),
             ))
 
     def test_compile_pins_fractions(self):
         campaign = FaultCampaign("c", "x", (
-            FaultAction(at=0.0, kind="region_restart"),
-            FaultAction(at=0.5, kind="region_restart"),
-            FaultAction(at=1.0, kind="region_restart"),
+            FaultAction(at=0.0, kind="crash_initiator"),
+            FaultAction(at=0.5, kind="crash_initiator"),
+            FaultAction(at=1.0, kind="crash_initiator"),
         ))
         assert [t for t, _ in compile_campaign(campaign, 1_000, 11_000)] == [
             1_000, 6_000, 11_000,
@@ -113,12 +112,12 @@ def _initiator(episode: int) -> Initiator:
     )
 
 
-def _drive(engine, positions, faults, horizon_ms=10_000):
+def _drive(engine, positions, faults):
     runner = ChurnRunner(
         engine, ChurnModel(ChurnSpec(), seed=3),
         positions=dict(positions), radio_radius=0.12, faults=faults,
     )
-    runner.drive(0, horizon_ms)
+    runner.drive(0, 10_000)
     return engine.finish()
 
 
@@ -148,35 +147,6 @@ class TestActionSemantics:
         assert total.nodes_crashed == 15  # 10% of 150
         assert total.nodes_joined == 15   # all woken at 60%
         assert not engine.wedged_episodes()
-
-    def test_region_restart_is_invisible_in_results(self):
-        """Kill-and-recover every region queue mid-run: byte-identical to
-        the undisturbed run (the genealogy-key rebuild contract)."""
-        results = {}
-        for plan in (None, "region-restart"):
-            network, positions, nodes = _city()
-            engine = RegionShardedEngine(
-                network, positions=positions, regions=2,
-                retries=1, retransmit_timeout_ms=200,
-            )
-            engine.begin([
-                EpisodeSpec(initiator_node=nodes[0], initiator=_initiator(0),
-                            start_ms=0),
-                EpisodeSpec(initiator_node=nodes[75], initiator=_initiator(1),
-                            start_ms=13),
-            ])
-            faults = (
-                compile_campaign(load_fault_plan(plan), 0, 400) if plan else []
-            )
-            results[plan] = _drive(engine, positions, faults, horizon_ms=400)
-        undisturbed, restarted = results[None], results["region-restart"]
-        assert restarted.region_restarts == 2
-        assert undisturbed.region_restarts == 0
-        for a, b in zip(undisturbed.episodes, restarted.episodes):
-            assert a.matched_ids == b.matched_ids
-            assert a.completed_at_ms == b.completed_at_ms
-            assert a.metrics.frames_sent == b.metrics.frames_sent
-            assert a.metrics.frame_bytes == b.metrics.frame_bytes
 
 
 class TestSpecIntegration:

@@ -102,49 +102,3 @@ class TestOverflow:
         assert table.request_ids() == {_rid(3), _rid(4)}
         assert table.evicted_overflow == 2
 
-
-class TestHandOff:
-    """export_rows / adopt_rows: the node re-homing state transfer."""
-
-    def test_round_trip_preserves_rows_and_expiry(self):
-        source = SessionTable()
-        source.open(_rid(1), parent="a", hops=2, expires_ms=100, now_ms=0)
-        source.open(_rid(2), parent=None, hops=1, expires_ms=50, now_ms=0)
-        source.lookup(_rid(1)).last_seq = 3
-
-        target = SessionTable()
-        target.adopt_rows(source.export_rows())
-        assert target.request_ids() == source.request_ids()
-        row = target.lookup(_rid(1))
-        assert (row.parent, row.hops, row.expires_ms, row.last_seq) == ("a", 2, 100, 3)
-        # Adopted rows are indexed on the expiry heap: TTL eviction works.
-        target.open(_rid(3), parent=None, hops=0, expires_ms=999, now_ms=60)
-        assert _rid(2) not in target
-        assert _rid(1) in target
-
-    def test_rows_are_shared_not_copied(self):
-        """Hand-off moves the live Session objects; the receiving worker
-        continues exactly where the exporter stopped."""
-        source = SessionTable()
-        source.open(_rid(1), parent="p", hops=1, expires_ms=100, now_ms=0)
-        target = SessionTable()
-        target.adopt_rows(source.export_rows())
-        assert target.lookup(_rid(1)) is source.lookup(_rid(1))
-
-    def test_adoption_bypasses_overflow_policy(self):
-        source = SessionTable()
-        for i in range(4):
-            source.open(_rid(i), parent=None, hops=0, expires_ms=100 + i, now_ms=0)
-        target = SessionTable(max_sessions=2, overflow="drop_new")
-        target.adopt_rows(source.export_rows())
-        assert len(target) == 4
-        assert target.rejected_overflow == 0
-
-    def test_adoption_replaces_existing_rows(self):
-        target = SessionTable()
-        target.open(_rid(1), parent="old", hops=9, expires_ms=10, now_ms=0)
-        source = SessionTable()
-        source.open(_rid(1), parent="new", hops=1, expires_ms=500, now_ms=0)
-        target.adopt_rows(source.export_rows())
-        assert target.lookup(_rid(1)).parent == "new"
-        assert target.lookup(_rid(1)).expires_ms == 500

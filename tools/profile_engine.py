@@ -2,9 +2,10 @@
 
 The profiling harness behind the before/after tables in
 ``docs/performance.md``: builds the population and topology *outside* the
-profiled region (exactly like the experiment runner's ``wall_seconds``
-accounting), then runs the engine under cProfile and prints the top-N
-functions by internal and cumulative time.
+profiled region with the experiment runner's own ``_prepare_scenario``
+(exactly like its ``wall_seconds`` accounting), then profiles the engine
+call that ``run_scenario`` times and prints the top-N functions by
+internal and cumulative time.
 
 Usage::
 
@@ -26,64 +27,36 @@ import cProfile
 import gc
 import io
 import pstats
-import random
 import sys
 
 
 def profile_spec(spec, *, top: int, sort: str, out=sys.stdout) -> pstats.Stats:
-    """Profile one engine run of *spec*; print the report; return the stats."""
-    from repro.analysis.experiments import _build_population
-    from repro.network.channel_model import ChannelModel
-    from repro.network.engine import FriendingEngine
-    from repro.network.mobility import RandomWaypoint, StaticPlacement
-    from repro.network.regions import RegionShardedEngine
-    from repro.network.simulator import AdHocNetwork
+    """Profile one engine run of *spec*; print the report; return the stats.
 
-    rng = random.Random(spec.seed)
-    node_ids, participants, launches, _ = _build_population(spec, rng)
-    if spec.mobility == "random_waypoint":
-        mobility = RandomWaypoint(node_ids, seed=spec.seed)
-    else:
-        mobility = StaticPlacement(node_ids, seed=spec.seed)
-    adjacency = mobility.snapshot_topology(spec.radio_radius)
-    channel = ChannelModel(
-        drop_rate=spec.loss_rate,
-        dup_rate=spec.dup_rate,
-        reorder_rate=spec.reorder_rate,
-        corrupt_rate=spec.corrupt_rate,
-        jitter_ms=spec.jitter_ms,
-        seed=spec.seed,
-        version=spec.channel_version,
-    )
-    network = AdHocNetwork(adjacency, participants, channel=channel)
-    # Mirror run_scenario's engine construction exactly, including the
-    # mid-run topology-refresh wiring: the profile must describe the same
-    # workload the experiment runner measures for this spec.
-    engine_kwargs = dict(retries=spec.retries)
-    if spec.refresh_interval_ms is not None:
-        engine_kwargs.update(
-            mobility=mobility,
-            radio_radius=spec.radio_radius,
-            refresh_interval_ms=spec.refresh_interval_ms,
-        )
-    if spec.regions > 1:
-        engine = RegionShardedEngine(
-            network,
-            positions=mobility.positions(),
-            regions=spec.regions,
-            **engine_kwargs,
-        )
-    else:
-        engine = FriendingEngine(network, **engine_kwargs)
+    The world comes from the experiment runner's ``_prepare_scenario``,
+    and the profiled call is the one :func:`~repro.analysis.experiments.
+    run_scenario` times, so the profile describes the workload a record
+    of this spec measures: open-world specs (churn or a fault plan) run
+    through the begin/step plane, the rest through ``run_staggered``.
+    """
+    from repro.analysis.experiments import _prepare_scenario, _run_open_world
+
+    prepared = _prepare_scenario(spec)
 
     profiler = cProfile.Profile()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         profiler.enable()
-        result = engine.run_staggered(
-            launches, arrival_ms=spec.arrival_ms, until_ms=spec.until_ms
-        )
+        if spec.open_world:
+            result = _run_open_world(spec, prepared)
+        else:
+            result = prepared.engine.run_staggered(
+                prepared.launches,
+                arrival_ms=spec.arrival_ms,
+                until_ms=spec.until_ms,
+                workers=spec.workers,
+            )
         profiler.disable()
     finally:
         if gc_was_enabled:
@@ -122,11 +95,6 @@ def main(argv: list[str] | None = None) -> int:
              "2 = counter-mode); the docs' before/after profiles are "
              "--loss 0.1 with each version in turn",
     )
-    parser.add_argument(
-        "--regions", type=int, default=None,
-        help="override the spec's region count (> 1 profiles the "
-             "region-sharded engine; byte-identical workload)",
-    )
     parser.add_argument("--top", type=int, default=25, help="rows to print (default 25)")
     parser.add_argument(
         "--sort", choices=("tottime", "cumulative", "calls"), default="tottime"
@@ -154,8 +122,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides["episodes"] = args.episodes
         if args.channel_version is not None:
             overrides["channel_version"] = args.channel_version
-        if args.regions is not None:
-            overrides["regions"] = args.regions
         if overrides:
             spec = ScenarioSpec.from_dict({**spec.as_dict(), **overrides})
     except SpecError as exc:

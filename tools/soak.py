@@ -61,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="crashes per simulated second (default: 0.5)")
     parser.add_argument("--fault-plan", default="blackout",
                         help="fault campaign name or 'none' (default: blackout)")
-    parser.add_argument("--regions", type=int, default=1,
-                        help="region shards (default: 1)")
     parser.add_argument("--inject-every-ms", type=int, default=5_000,
                         help="simulated ms between episode injections (default: 5000)")
     parser.add_argument("--loss", type=float, default=0.1,
@@ -99,7 +97,6 @@ def run_soak(args) -> dict:
         loss_rate=args.loss,
         channel_version=args.channel_version,
         reliability=args.reliability,
-        regions=args.regions,
         until_ms=horizon_ms,
         churn_rate=args.churn_rate,
         churn_crash_rate=args.churn_crash_rate,
@@ -189,7 +186,6 @@ def run_soak(args) -> dict:
         "bench": "soak",
         "sim_hours": args.sim_hours,
         "nodes": args.nodes,
-        "regions": args.regions,
         "seed": args.seed,
         "churn_rate": args.churn_rate,
         "churn_crash_rate": args.churn_crash_rate,
@@ -206,7 +202,6 @@ def run_soak(args) -> dict:
         "nodes_crashed": total.nodes_crashed,
         "orphaned_replies": total.orphaned_replies,
         "degraded_episodes": total.degraded_episodes,
-        "region_restarts": result.region_restarts,
         "matches": result.aggregate.matches,
         "frames_sent": total.frames_sent,
         "limiter_peers_pruned": state["limiter_pruned"],
