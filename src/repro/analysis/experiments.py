@@ -11,9 +11,10 @@ pipeline:
    ``base`` + ``sweep`` parameter grid, and expands the grid into the
    cartesian product of concrete specs.
 3. :func:`run_scenario` builds the population over a
-   :func:`~repro.network.topology.SpatialGrid`-backed topology, runs the
-   :class:`~repro.network.engine.FriendingEngine`, and emits one JSON
-   record per scenario in the same shape as
+   :func:`~repro.network.topology.SpatialGrid`-backed topology
+   (:func:`prepare_scenario`), runs the
+   :class:`~repro.network.engine.FriendingEngine` (:func:`run_prepared`),
+   and emits one JSON record per scenario in the same shape as
    ``benchmarks/bench_engine_throughput.py``'s ``PERF_RECORD``.
 4. :func:`run_plan` sweeps every spec and writes two artifacts: a JSON
    file of records and a rendered markdown report.
@@ -48,6 +49,7 @@ from repro.network.churn import (
 )
 from repro.network.engine import (
     DEFAULT_RETRANSMIT_TIMEOUT_MS,
+    EngineResult,
     EpisodeSpec,
     FriendingEngine,
 )
@@ -61,9 +63,12 @@ __all__ = [
     "SpecError",
     "ScenarioSpec",
     "ExperimentPlan",
+    "PreparedScenario",
     "churn_horizon",
     "churn_runner_for",
     "load_plan",
+    "prepare_scenario",
+    "run_prepared",
     "run_scenario",
     "run_plan",
     "render_markdown_report",
@@ -135,7 +140,8 @@ class ScenarioSpec:
         Worker processes for the engine.  ``1`` runs every episode in
         one event queue; ``> 1`` shards episodes across processes via
         :meth:`~repro.network.engine.FriendingEngine.run_parallel`
-        (incompatible with ``refresh_interval_ms``).
+        (incompatible with ``refresh_interval_ms``, churn and
+        ``fault_plan``, which need one live engine).
     loss_rate / dup_rate / reorder_rate / corrupt_rate / jitter_ms:
         The per-hop :class:`~repro.network.channel_model.ChannelModel`
         every frame passes through: probability that a transmitted frame
@@ -584,12 +590,12 @@ def _build_population(spec: ScenarioSpec, rng: random.Random):
 
 
 @dataclass
-class _PreparedScenario:
+class PreparedScenario:
     """Everything :func:`run_scenario` builds before the engine runs.
 
-    Factored out so tests (and the soak harness) can drive the identical
-    population/topology/engine through the open-world ``begin``/``step``
-    plane directly.
+    Public so tools and tests (the soak harness, the engine profiler) can
+    build the identical population/topology/engine and drive it through
+    :func:`run_prepared` or the open-world ``begin``/``step`` plane.
     """
 
     mobility: Any
@@ -602,7 +608,7 @@ class _PreparedScenario:
     topology_seconds: float
 
 
-def _prepare_scenario(spec: ScenarioSpec) -> _PreparedScenario:
+def prepare_scenario(spec: ScenarioSpec) -> PreparedScenario:
     """Build the population, topology, channel and engine for *spec*."""
     rng = random.Random(spec.seed)
     node_ids, participants, launches, attacker_counts = _build_population(spec, rng)
@@ -653,7 +659,7 @@ def _prepare_scenario(spec: ScenarioSpec) -> _PreparedScenario:
             refresh_interval_ms=spec.refresh_interval_ms,
         )
     engine = FriendingEngine(network, **engine_kwargs)
-    return _PreparedScenario(
+    return PreparedScenario(
         mobility=mobility,
         engine=engine,
         launches=launches,
@@ -689,7 +695,7 @@ def churn_horizon(spec: ScenarioSpec, engine: FriendingEngine) -> int:
 
 
 def churn_runner_for(
-    spec: ScenarioSpec, prepared: _PreparedScenario, horizon_ms: int
+    spec: ScenarioSpec, prepared: PreparedScenario, horizon_ms: int
 ) -> ChurnRunner:
     """The :class:`~repro.network.churn.ChurnRunner` a spec's run uses.
 
@@ -709,13 +715,22 @@ def churn_runner_for(
     )
 
 
-def _run_open_world(spec: ScenarioSpec, prepared: _PreparedScenario):
-    """Drive the prepared engine through begin/step under churn and faults.
+def run_prepared(spec: ScenarioSpec, prepared: PreparedScenario) -> EngineResult:
+    """Run *prepared*'s engine as *spec* asks: the call :func:`run_scenario` times.
 
-    After the horizon the run drains to completion -- degraded episodes
-    settle, they never wedge the queue.
+    Open-world specs (churn or a fault plan) go through ``begin``/``step``
+    under the churn runner and then drain to completion -- degraded
+    episodes settle, they never wedge the queue.  The rest go through
+    ``run_staggered``, sharded across ``spec.workers`` processes.
     """
     engine = prepared.engine
+    if not spec.open_world:
+        return engine.run_staggered(
+            prepared.launches,
+            arrival_ms=spec.arrival_ms,
+            until_ms=spec.until_ms,
+            workers=spec.workers,
+        )
     engine.begin([
         EpisodeSpec(initiator_node=node, initiator=initiator,
                     start_ms=i * spec.arrival_ms)
@@ -736,25 +751,9 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     ``latency_p95_ms``, ``total_bytes``) plus scenario provenance,
     including the ``workers`` the run measured.
     """
-    prepared = _prepare_scenario(spec)
-    engine = prepared.engine
-    launches = prepared.launches
-    attacker_counts = prepared.attacker_counts
-    mean_degree = prepared.mean_degree
-    component_fraction = prepared.component_fraction
-    warnings = prepared.warnings
-    topology_seconds = prepared.topology_seconds
-
+    prepared = prepare_scenario(spec)
     start = time.perf_counter()
-    if spec.open_world:
-        result = _run_open_world(spec, prepared)
-    else:
-        result = engine.run_staggered(
-            launches,
-            arrival_ms=spec.arrival_ms,
-            until_ms=spec.until_ms,
-            workers=spec.workers,
-        )
+    result = run_prepared(spec, prepared)
     wall_s = time.perf_counter() - start
 
     agg = result.aggregate
@@ -779,12 +778,12 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "reliability": spec.reliability,
         "profile": spec.profile,
         "channel_version": spec.channel_version,
-        "attackers": attacker_counts,
+        "attackers": prepared.attacker_counts,
         "arrival_ms": spec.arrival_ms,
-        "mean_degree": round(mean_degree, 2),
-        "largest_component_fraction": round(component_fraction, 4),
-        "warnings": warnings,
-        "topology_seconds": round(topology_seconds, 4),
+        "mean_degree": round(prepared.mean_degree, 2),
+        "largest_component_fraction": round(prepared.component_fraction, 4),
+        "warnings": prepared.warnings,
+        "topology_seconds": round(prepared.topology_seconds, 4),
         "wall_seconds": round(wall_s, 4),
         "episodes_per_wall_sec": round(agg.episodes / wall_s, 2) if wall_s > 0 else 0.0,
         "episodes_per_sim_sec": round(agg.episodes_per_sim_sec, 2),
@@ -794,7 +793,10 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "latency_p50_ms": agg.latency_p50_ms,
         "latency_p95_ms": agg.latency_p95_ms,
         "total_bytes": agg.total.total_bytes,
+        "bytes_broadcast": agg.total.bytes_broadcast,
+        "bytes_unicast": agg.total.bytes_unicast,
         "nodes_reached": agg.total.nodes_reached,
+        "candidates": agg.total.candidates,
         "replies": agg.total.replies,
         "rejected_replies": rejected,
         "frames_sent": agg.total.frames_sent,

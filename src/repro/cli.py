@@ -18,8 +18,8 @@ Installed as the ``repro`` command (``pyproject.toml``'s
 from __future__ import annotations
 
 import argparse
-import random
 import sys
+from dataclasses import fields
 
 from repro.analysis.experiments import ScenarioSpec, SpecError, run_plan, run_scenario
 from repro.analysis.ppl import evaluate_hbc_table, evaluate_malicious_table
@@ -32,14 +32,34 @@ from repro.dataset.stats import (
     unique_profile_fraction,
 )
 from repro.dataset.weibo import WeiboGenerator
-from repro.network.channel_model import ChannelModel
-from repro.network.engine import DEFAULT_RETRANSMIT_TIMEOUT_MS, FriendingEngine
 from repro.network.profiles import BUILTIN_PROFILES, available_profiles
 from repro.network.reliability import available_reliability_modes
-from repro.network.simulator import AdHocNetwork
-from repro.network.topology import city_topology
 
 __all__ = ["main", "build_parser"]
+
+
+# simulate's own defaults, used when no --profile is named; every other
+# field takes ScenarioSpec's default.
+_SIMULATE_DEFAULTS = {"nodes": 50, "radio_radius": 0.25, "seed": 1, "episodes": 1}
+_SPEC_FIELDS = frozenset(f.name for f in fields(ScenarioSpec))
+
+# The rows simulate prints: the settings the run used, then its measurements.
+_SIMULATE_ROWS = (
+    "nodes", "episodes", "arrival_ms", "protocol", "mobility", "reliability",
+    "retries", "retransmit_timeout_ms", "loss_rate", "dup_rate",
+    "reorder_rate", "corrupt_rate", "jitter_ms", "channel_version",
+    "matches", "match_rate", "frames_sent", "frames_dropped",
+    "frames_duplicated", "frames_corrupted", "frames_rejected",
+    "retransmissions", "selective_retx", "fec_recovered", "duplicate_replies",
+    "sessions_overflow", "frame_bytes", "bytes_broadcast", "bytes_unicast",
+    "total_bytes", "nodes_reached", "candidates", "replies",
+    "latency_p50_ms", "latency_p95_ms", "sim_duration_ms",
+    "episodes_per_sim_sec",
+)
+_OPEN_WORLD_ROWS = (
+    "churn_rate", "churn_crash_rate", "fault_plan", "nodes_joined",
+    "nodes_left", "nodes_crashed", "orphaned_replies", "degraded_episodes",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,97 +78,108 @@ def build_parser() -> argparse.ArgumentParser:
     population.add_argument("--vocabulary", type=int, default=20_000)
     population.add_argument("--seed", type=int, default=2013)
 
-    simulate = sub.add_parser("simulate", help="friending episode(s) over a MANET")
-    simulate.add_argument("--nodes", type=int, default=50)
-    simulate.add_argument("--radius", type=float, default=0.25)
-    simulate.add_argument("--theta", type=float, default=0.6)
-    simulate.add_argument("--protocol", type=int, choices=(1, 2, 3), default=2)
-    simulate.add_argument("--seed", type=int, default=1)
+    # The defaults each help text shows: simulate's own, else ScenarioSpec's.
+    base = ScenarioSpec(name="simulate", **_SIMULATE_DEFAULTS)
+    simulate = sub.add_parser(
+        "simulate", help="friending episodes over a MANET (one ScenarioSpec run)",
+        description="Build a ScenarioSpec from the flags and run it.  A flag "
+                    "not given takes --profile's setting, or else the default "
+                    "shown; a flag given always wins.",
+    )
+    # Every flag defaults to None ("not given") and its dest names the
+    # ScenarioSpec field it sets; only --arrival-ms needs converting.
+    simulate.add_argument("--nodes", type=int,
+                          help=f"population size (default: {base.nodes})")
     simulate.add_argument(
-        "--episodes", type=int, default=1,
-        help="number of overlapping episodes from distinct initiators",
+        "--radius", dest="radio_radius", type=float,
+        help=f"radio range as a fraction of the city side (default: {base.radio_radius})",
+    )
+    simulate.add_argument("--protocol", type=int, choices=(1, 2, 3),
+                          help=f"paper protocol (default: {base.protocol})")
+    simulate.add_argument("--seed", type=int, help=f"master seed (default: {base.seed})")
+    simulate.add_argument(
+        "--episodes", type=int,
+        help="number of overlapping episodes from distinct initiators "
+             f"(default: {base.episodes})",
     )
     simulate.add_argument(
-        "--arrival-ms", type=int, default=50,
-        help="stagger between consecutive episode starts (ms)",
+        "--arrival-ms", type=int, metavar="MS",
+        help="stagger between consecutive episode starts in simulated ms "
+             f"(default: {base.arrival_ms})",
     )
     simulate.add_argument(
-        "--workers", type=int, default=1,
-        help="shard episodes across N processes (default: 1 = one event queue)",
+        "--workers", type=int,
+        help="shard episodes across N processes; 1 runs one event queue "
+             f"(default: {base.workers})",
     )
     simulate.add_argument(
-        "--loss", type=float, default=0.0, metavar="P",
-        help="per-hop frame drop probability (default: 0 = perfect channel)",
+        "--loss", dest="loss_rate", type=float, metavar="P",
+        help=f"per-hop frame drop probability (default: {base.loss_rate})",
     )
     simulate.add_argument(
-        "--dup", type=float, default=0.0, metavar="P",
-        help="per-hop link-layer duplication probability (default: 0)",
+        "--dup", dest="dup_rate", type=float, metavar="P",
+        help=f"per-hop link-layer duplication probability (default: {base.dup_rate})",
     )
     simulate.add_argument(
-        "--reorder", type=float, default=0.0, metavar="P",
-        help="per-copy reordering probability (extra hold-back delay; default: 0)",
+        "--reorder", dest="reorder_rate", type=float, metavar="P",
+        help="per-copy reordering probability (extra hold-back delay; "
+             f"default: {base.reorder_rate})",
     )
     simulate.add_argument(
-        "--corrupt", type=float, default=0.0, metavar="P",
-        help="per-copy bit-flip probability; CRC-rejected at the receiver (default: 0)",
+        "--corrupt", dest="corrupt_rate", type=float, metavar="P",
+        help="per-copy bit-flip probability; CRC-rejected at the receiver "
+             f"(default: {base.corrupt_rate})",
     )
     simulate.add_argument(
-        "--jitter-ms", type=int, default=0,
-        help="uniform extra per-hop latency in [0, N] simulated ms (default: 0)",
+        "--jitter-ms", type=int,
+        help="uniform extra per-hop latency in [0, N] simulated ms "
+             f"(default: {base.jitter_ms})",
     )
     simulate.add_argument(
-        "--retries", type=int, default=0,
-        help="retransmission waves for unanswered requests (default: 0)",
+        "--retries", type=int,
+        help=f"retransmission waves for unanswered requests (default: {base.retries})",
     )
     simulate.add_argument(
-        "--retransmit-timeout-ms", type=int, default=DEFAULT_RETRANSMIT_TIMEOUT_MS,
+        "--retransmit-timeout-ms", type=int,
         help="base retransmission timeout in simulated ms; the reliability "
-             f"mode's backoff scales it per wave (default: "
-             f"{DEFAULT_RETRANSMIT_TIMEOUT_MS})",
+             f"mode's backoff scales it per wave (default: {base.retransmit_timeout_ms})",
     )
     simulate.add_argument(
-        "--reliability", choices=available_reliability_modes(), default="simple",
+        "--reliability", choices=available_reliability_modes(),
         help="reliability mode: simple = blind re-floods, stage = escalating "
              "backoff, window = selective segment retransmission, window_fec "
-             "= XOR parity recovery with no waves (default: simple; "
+             f"= XOR parity recovery with no waves (default: {base.reliability}; "
              "docs/reliability.md)",
     )
     simulate.add_argument(
-        "--profile", choices=available_profiles(), default=None,
-        help="run a named built-in scenario profile through the experiment "
-             "runner instead of the ad-hoc simulate topology; simulate flags "
-             "set to non-default values override the profile's settings "
-             "(see `profiles list`)",
+        "--profile", choices=available_profiles(),
+        help="start from a named built-in scenario profile's settings; any "
+             "flag given overrides them (see `profiles list`)",
     )
     simulate.add_argument(
-        "--channel-version", type=int, choices=(1, 2), default=1,
-        help="channel fate-derivation plane: 1 = scratch-MT reference "
-             "(default), 2 = counter-mode keystream (same rates, different "
-             "drawn fates, faster; see docs/wire_format.md)",
+        "--channel-version", type=int, choices=(1, 2),
+        help="channel fate-derivation plane: 1 = scratch-MT reference, "
+             "2 = counter-mode keystream (same rates, different drawn fates, "
+             f"faster; default: {base.channel_version}; see docs/wire_format.md)",
     )
     simulate.add_argument(
-        "--churn-rate", type=float, default=0.0, metavar="R",
+        "--churn-rate", type=float, metavar="R",
         help="open-world churn in events per simulated second, split evenly "
              "between arrivals and graceful departures; any non-zero value "
              "routes the run through the engine's incremental begin/step "
-             "plane (default: 0 = closed world; docs/robustness.md)",
+             f"plane (default: {base.churn_rate}; docs/robustness.md)",
     )
     simulate.add_argument(
-        "--churn-crash-rate", type=float, default=0.0, metavar="R",
+        "--churn-crash-rate", type=float, metavar="R",
         help="crash rate in events per simulated second on top of "
-             "--churn-rate; crashed nodes lose volatile state (default: 0)",
+             "--churn-rate; crashed nodes lose volatile state "
+             f"(default: {base.churn_crash_rate})",
     )
     simulate.add_argument(
-        "--fault-plan", default=None, metavar="NAME",
+        "--fault-plan", metavar="NAME",
         help="named fault campaign to inject (initiator crashes, blackouts, "
              "session pressure); unknown names list the registered campaigns "
              "(docs/robustness.md)",
-    )
-    simulate.add_argument(
-        "--profile-top", type=int, default=0, metavar="N",
-        help="run under cProfile and print the top-N functions by internal "
-             "time after the tables (0 = off; tools/profile_engine.py offers "
-             "the spec-driven variant)",
     )
 
     sub.add_parser("tables", help="regenerate measured PPL tables I and II")
@@ -270,256 +301,34 @@ def _cmd_population(args) -> int:
     return 0
 
 
-def _prime_exceeding(n: int) -> int:
-    """Smallest prime strictly greater than max(n, 10)."""
-    candidate = max(n, 10) + 1
-    while any(candidate % d == 0 for d in range(2, int(candidate**0.5) + 1)):
-        candidate += 1
-    return candidate
-
-
-# simulate flags that map onto ScenarioSpec fields, with the argparse
-# defaults they carry (kept in sync with build_parser): in --profile mode
-# a flag overrides the profile's setting only when it differs from its
-# default, i.e. when the user actually asked for it.
-_SIMULATE_SPEC_FLAGS = {
-    "nodes": ("nodes", 50),
-    "radius": ("radio_radius", 0.25),
-    "protocol": ("protocol", 2),
-    "seed": ("seed", 1),
-    "episodes": ("episodes", 1),
-    "workers": ("workers", 1),
-    "loss": ("loss_rate", 0.0),
-    "dup": ("dup_rate", 0.0),
-    "reorder": ("reorder_rate", 0.0),
-    "corrupt": ("corrupt_rate", 0.0),
-    "jitter_ms": ("jitter_ms", 0),
-    "retries": ("retries", 0),
-    "retransmit_timeout_ms": ("retransmit_timeout_ms", DEFAULT_RETRANSMIT_TIMEOUT_MS),
-    "reliability": ("reliability", "simple"),
-    "channel_version": ("channel_version", 1),
-    "churn_rate": ("churn_rate", 0.0),
-    "churn_crash_rate": ("churn_crash_rate", 0.0),
-    "fault_plan": ("fault_plan", None),
-}
-
-
-def _run_simulate_profile(args) -> int:
-    """``simulate --profile NAME``: one profile run via the experiment runner."""
-    overrides = {
-        spec_field: getattr(args, attr)
-        for attr, (spec_field, default) in _SIMULATE_SPEC_FLAGS.items()
-        if getattr(args, attr) != default
+def _cmd_simulate(args) -> int:
+    given = {
+        name: value for name, value in vars(args).items()
+        if name in _SPEC_FIELDS and value is not None
     }
+    if args.arrival_ms is not None:
+        if args.arrival_ms < 1:
+            print(f"error: --arrival-ms must be >= 1 (simulated ms), "
+                  f"got {args.arrival_ms}", file=sys.stderr)
+            return 2
+        given["arrival_rate_per_s"] = 1000 / args.arrival_ms
+    defaults = {} if args.profile else _SIMULATE_DEFAULTS
     try:
-        spec = ScenarioSpec.from_profile(args.profile, name=args.profile, **overrides)
-        record = run_scenario(spec)
+        spec = ScenarioSpec.from_dict(
+            {"name": args.profile or "simulate", **defaults, **given}
+        )
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_scenario_record(f"profile run: {args.profile}", record)
-    return 0
-
-
-def _print_scenario_record(title: str, record) -> None:
-    keys = [
-        "nodes", "episodes", "protocol", "mobility", "reliability",
-        "retries", "retransmit_timeout_ms", "loss_rate",
-        "channel_version", "matches", "match_rate", "frames_sent",
-        "frames_dropped", "retransmissions", "selective_retx",
-        "fec_recovered", "frame_bytes", "latency_p50_ms",
-        "latency_p95_ms", "wall_seconds",
-    ]
-    if record["churn_rate"] or record["churn_crash_rate"] or record["fault_plan"]:
-        keys += [
-            "churn_rate", "churn_crash_rate", "fault_plan", "nodes_joined",
-            "nodes_left", "nodes_crashed", "orphaned_replies",
-            "degraded_episodes",
-        ]
-    print(render_table(title, ["metric", "value"], [[k, record[k]] for k in keys]))
+    record = run_scenario(spec)
+    keys = _SIMULATE_ROWS + (_OPEN_WORLD_ROWS if spec.open_world else ())
+    print(render_table(
+        f"{spec.name} run (seed {spec.seed}, workers={spec.workers})",
+        ["metric", "value"],
+        [[key, record[key]] for key in keys],
+    ))
     for warning in record["warnings"]:
         print(f"warning: {warning}")
-
-
-def _run_simulate_churn(args) -> int:
-    """Ad-hoc ``simulate --churn-rate/--fault-plan``: open-world run.
-
-    Churn needs the experiment runner's engine plumbing (positions for
-    joiner placement, the churn runner, degradation counters), so the
-    ad-hoc flags are folded into a ScenarioSpec instead of the bare
-    simulate topology.
-    """
-    overrides = {
-        spec_field: getattr(args, attr)
-        for attr, (spec_field, _) in _SIMULATE_SPEC_FLAGS.items()
-    }
-    overrides["episodes"] = max(1, overrides.get("episodes", 1))
-    try:
-        spec = ScenarioSpec(
-            name="simulate",
-            arrival_rate_per_s=1000 / max(1, args.arrival_ms),
-            **overrides,
-        )
-        record = run_scenario(spec)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_scenario_record(
-        f"open-world run (churn {spec.churn_rate}/s, crash "
-        f"{spec.churn_crash_rate}/s, faults {spec.fault_plan or 'none'})",
-        record,
-    )
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.profile is not None:
-        if args.profile_top:
-            print("error: --profile-top is not supported with --profile "
-                  "(use tools/profile_engine.py)", file=sys.stderr)
-            return 2
-        return _run_simulate_profile(args)
-    if args.churn_rate or args.churn_crash_rate or args.fault_plan is not None:
-        if args.profile_top:
-            print("error: --profile-top is not supported with churn/fault "
-                  "flags (use tools/profile_engine.py)", file=sys.stderr)
-            return 2
-        return _run_simulate_churn(args)
-    try:
-        channel = ChannelModel(
-            drop_rate=args.loss, dup_rate=args.dup, reorder_rate=args.reorder,
-            corrupt_rate=args.corrupt, jitter_ms=args.jitter_ms, seed=args.seed,
-            version=args.channel_version,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not 0 <= args.retries <= 255:
-        print("error: --retries must be in [0, 255] (one envelope byte names "
-              "the retransmission wave)", file=sys.stderr)
-        return 2
-    if args.profile_top < 0:
-        print("error: --profile-top must be >= 0", file=sys.stderr)
-        return 2
-    if args.profile_top:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        code = _run_simulate(args, channel)
-        profiler.disable()
-        buffer = io.StringIO()
-        pstats.Stats(profiler, stream=buffer).sort_stats("tottime").print_stats(
-            args.profile_top
-        )
-        print()
-        print(buffer.getvalue().rstrip())
-        return code
-    return _run_simulate(args, channel)
-
-
-def _run_simulate(args, channel: ChannelModel) -> int:
-    rng = random.Random(args.seed)
-    users = WeiboGenerator(
-        n_users=args.nodes, tag_vocabulary=1_000, seed=args.seed
-    ).generate()
-    adjacency, _ = city_topology(args.nodes, args.radius, seed=args.seed)
-    nodes = list(adjacency)
-    episodes = max(1, args.episodes)
-    if episodes > len(nodes):
-        print(f"error: --episodes {episodes} exceeds the {len(nodes)} nodes", file=sys.stderr)
-        return 2
-
-    def request_for(user):
-        return RequestProfile.with_threshold(
-            necessary=(), optional=[f"tag:{t}" for t in user.tags],
-            theta=args.theta, normalized=True,
-        )
-
-    def initiator_for(user, episode: int = 0):
-        # The remainder prime must exceed the request size m_t, which here
-        # is however many tags the target user happens to have.  Each
-        # episode gets its own seeded RNG: the engine's sharding identity
-        # (workers=N == workers=1) requires that an episode's request
-        # bytes never depend on how many episodes ran before it.
-        request = request_for(user)
-        return Initiator(
-            request, protocol=args.protocol, p=_prime_exceeding(len(user.tags)),
-            rng=random.Random(args.seed * 1000 + episode),
-        )
-
-    if episodes == 1:
-        participants = {}
-        for node, user in zip(nodes, users):
-            participants[node] = Participant(
-                Profile(user.profile().attributes, user_id=node, normalized=True), rng=rng
-            )
-        participants[nodes[0]] = None
-        target = users[min(len(users) - 1, args.nodes // 2)]
-        initiator = initiator_for(target)
-        network = AdHocNetwork(adjacency, participants, rng=rng, channel=channel)
-        result = network.run_friending(
-            nodes[0], initiator, retries=args.retries,
-            retransmit_timeout_ms=args.retransmit_timeout_ms,
-            reliability=args.reliability,
-        )
-        metrics = result.metrics.as_dict()
-        print(render_table(
-            f"friending episode (n={args.nodes}, theta={args.theta}, protocol {args.protocol})",
-            ["metric", "value"],
-            [[k, v] for k, v in metrics.items() if v]
-            + [["matches", ", ".join(result.matched_ids) or "none"]],
-        ))
-        return 0
-
-    # Concurrent mode: every node is a participant; episode initiators are
-    # spread across the network and each requests a different user's tags.
-    participants = {
-        node: Participant(
-            Profile(user.profile().attributes, user_id=node, normalized=True), rng=rng
-        )
-        for node, user in zip(nodes, users)
-    }
-    network = AdHocNetwork(adjacency, participants, rng=rng, channel=channel)
-    stride = max(1, len(nodes) // episodes)
-    launches = []
-    for i in range(episodes):
-        initiator_node = nodes[(i * stride) % len(nodes)]
-        target = users[(i * stride + len(users) // 2) % len(users)]
-        launches.append((initiator_node, initiator_for(target, episode=i)))
-    engine = FriendingEngine(
-        network,
-        retries=args.retries,
-        retransmit_timeout_ms=args.retransmit_timeout_ms,
-        reliability=args.reliability,
-    )
-    result = engine.run_staggered(
-        launches, arrival_ms=args.arrival_ms, workers=args.workers
-    )
-
-    print(render_table(
-        f"concurrent friending (n={args.nodes}, episodes={episodes}, "
-        f"arrival={args.arrival_ms}ms, protocol {args.protocol}, "
-        f"workers={args.workers})",
-        ["metric", "value"],
-        [[k, v] for k, v in result.aggregate.as_dict().items() if v],
-    ))
-    print()
-    rows = [
-        [ep.episode, ep.initiator_node, ep.started_at_ms,
-         ep.completed_at_ms, ", ".join(ep.matched_ids) or "none"]
-        for ep in result.episodes
-    ]
-    print(render_table(
-        "per-episode outcomes",
-        ["episode", "initiator", "start ms", "done ms", "matches"],
-        rows,
-    ))
     return 0
 
 

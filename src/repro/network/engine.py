@@ -144,12 +144,17 @@ class EpisodeSpec:
 
     ``start_ms`` is simulated milliseconds on the engine's shared clock;
     the episode's request package is created (and its validity window
-    anchored) at that instant.
+    anchored) at that instant.  The wire carries times as unsigned
+    integers, so a negative start is rejected here, before anything runs.
     """
 
     initiator_node: str
     initiator: Initiator
     start_ms: int = 0
+
+    def __post_init__(self) -> None:
+        if self.start_ms < 0:
+            raise ValueError(f"start_ms must be >= 0 simulated ms, got {self.start_ms}")
 
 
 @dataclass
@@ -499,6 +504,8 @@ class FriendingEngine:
                 "open-world stepping does not support a mobility model; "
                 "churn supplies the population dynamics"
             )
+        if start_ms < 0:
+            raise ValueError(f"start_ms must be >= 0 simulated ms, got {start_ms}")
         specs = list(specs)
         for spec in specs:
             if spec.initiator_node not in self.network.nodes:

@@ -7,6 +7,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,6 +91,13 @@ class TestSpecValidation:
         assert ScenarioSpec.from_dict(
             {**TINY, "arrival_rate_per_s": 5000}
         ).arrival_ms == 1
+        # Every whole-ms stagger round-trips through its rate: `simulate
+        # --arrival-ms MS` sets arrival_rate_per_s = 1000 / MS.
+        arrival_ms = ScenarioSpec.arrival_ms.fget
+        assert all(
+            arrival_ms(SimpleNamespace(arrival_rate_per_s=1000 / ms)) == ms
+            for ms in range(1, 200_001)
+        )
 
     def test_workers_validation(self):
         assert ScenarioSpec().workers == 1
@@ -205,6 +213,9 @@ class TestRunScenario:
         assert record["matches"] > 0  # dense tiny city: communities must meet
         # Perf records name the worker count they measured.
         assert record["workers"] == 1
+        # The paper's byte accounting (Table VII's communication cost).
+        assert record["total_bytes"] == record["bytes_broadcast"] + record["bytes_unicast"]
+        assert record["candidates"] >= record["replies"] > 0
 
     def test_record_carries_channel_version(self):
         v1 = run_scenario(ScenarioSpec.from_dict({**TINY, "loss_rate": 0.1}))

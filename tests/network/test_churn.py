@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import (
     ScenarioSpec,
-    _prepare_scenario,
     churn_horizon,
     churn_runner_for,
+    prepare_scenario,
     run_scenario,
 )
 from repro.core.attributes import Profile, RequestProfile
@@ -287,7 +287,7 @@ class TestOpenWorld10kGolden:
         spec = ScenarioSpec.from_dict({
             **spec.as_dict(), "channel_version": channel_version,
         })
-        prepared = _prepare_scenario(spec)
+        prepared = prepare_scenario(spec)
         engine = prepared.engine
         engine.begin([
             EpisodeSpec(initiator_node=node, initiator=initiator,
@@ -331,7 +331,7 @@ class TestChurn10k:
 class TestChurnRunnerFor:
     def test_horizon_prefers_until_ms(self):
         spec = ScenarioSpec(name="x", nodes=50, until_ms=9_000, churn_rate=1.0)
-        prepared = _prepare_scenario(spec)
+        prepared = prepare_scenario(spec)
         prepared.engine.begin()
         assert churn_horizon(spec, prepared.engine) == 9_000
         runner = churn_runner_for(spec, prepared, 9_000)
@@ -341,7 +341,7 @@ class TestChurnRunnerFor:
 
     def test_joiner_participants_are_seeded_by_index(self):
         spec = ScenarioSpec(name="x", nodes=50, churn_rate=1.0)
-        prepared = _prepare_scenario(spec)
+        prepared = prepare_scenario(spec)
         runner = churn_runner_for(spec, prepared, 1_000)
         a = runner.participant_factory("j0", 0)
         b = runner.participant_factory("j0", 0)

@@ -179,6 +179,16 @@ class TestInjection:
                                              "support a mobility model"):
             engine.begin(_specs(nodes))
 
+    def test_negative_start_is_rejected_before_anything_runs(self):
+        """The wire carries unsigned times: a start before t = 0 fails when
+        the episode is specified, not when its first reply is encoded."""
+        network, nodes = _build()
+        engine = FriendingEngine(network)
+        with pytest.raises(ValueError, match="start_ms must be >= 0 simulated ms, got -20"):
+            engine.run([EpisodeSpec(nodes[0], _initiator(0), start_ms=-20)])
+        with pytest.raises(ValueError, match="start_ms must be >= 0 simulated ms, got -5"):
+            engine.begin(start_ms=-5)
+
     def test_inject_on_departed_node_is_rejected(self):
         network, nodes = _build()
         engine = FriendingEngine(network)

@@ -2,10 +2,10 @@
 
 The profiling harness behind the before/after tables in
 ``docs/performance.md``: builds the population and topology *outside* the
-profiled region with the experiment runner's own ``_prepare_scenario``
-(exactly like its ``wall_seconds`` accounting), then profiles the engine
-call that ``run_scenario`` times and prints the top-N functions by
-internal and cumulative time.
+profiled region with the experiment runner's ``prepare_scenario``
+(exactly like its ``wall_seconds`` accounting), then profiles
+``run_prepared``, the call that ``run_scenario`` times, and prints the
+top-N functions by internal and cumulative time.
 
 Usage::
 
@@ -15,9 +15,6 @@ Usage::
     PYTHONPATH=src python tools/profile_engine.py --spec examples/specs/lossy_city.json \\
         --loss 0.1 --channel-version 2   # the docs' channel-plane-v2 'after' profile
     PYTHONPATH=src python tools/profile_engine.py --nodes 2000 --episodes 4
-
-The same report is reachable from the CLI as
-``repro simulate --profile-top N`` for one-off runs.
 """
 
 from __future__ import annotations
@@ -33,30 +30,21 @@ import sys
 def profile_spec(spec, *, top: int, sort: str, out=sys.stdout) -> pstats.Stats:
     """Profile one engine run of *spec*; print the report; return the stats.
 
-    The world comes from the experiment runner's ``_prepare_scenario``,
-    and the profiled call is the one :func:`~repro.analysis.experiments.
-    run_scenario` times, so the profile describes the workload a record
-    of this spec measures: open-world specs (churn or a fault plan) run
-    through the begin/step plane, the rest through ``run_staggered``.
+    The world comes from :func:`~repro.analysis.experiments.prepare_scenario`
+    and the profiled call is :func:`~repro.analysis.experiments.run_prepared`,
+    the one ``run_scenario`` times, so the profile describes the workload a
+    record of this spec measures.
     """
-    from repro.analysis.experiments import _prepare_scenario, _run_open_world
+    from repro.analysis.experiments import prepare_scenario, run_prepared
 
-    prepared = _prepare_scenario(spec)
+    prepared = prepare_scenario(spec)
 
     profiler = cProfile.Profile()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         profiler.enable()
-        if spec.open_world:
-            result = _run_open_world(spec, prepared)
-        else:
-            result = prepared.engine.run_staggered(
-                prepared.launches,
-                arrival_ms=spec.arrival_ms,
-                until_ms=spec.until_ms,
-                workers=spec.workers,
-            )
+        result = run_prepared(spec, prepared)
         profiler.disable()
     finally:
         if gc_was_enabled:

@@ -40,8 +40,8 @@ import tracemalloc
 
 from repro.analysis.experiments import (
     ScenarioSpec,
-    _prepare_scenario,
     churn_runner_for,
+    prepare_scenario,
 )
 from repro.core.attributes import RequestProfile
 from repro.core.protocols import Initiator
@@ -102,7 +102,7 @@ def run_soak(args) -> dict:
         churn_crash_rate=args.churn_crash_rate,
         fault_plan=None if args.fault_plan in (None, "none") else args.fault_plan,
     )
-    prepared = _prepare_scenario(spec)
+    prepared = prepare_scenario(spec)
     engine = prepared.engine
     engine.begin(start_ms=0)
     runner = churn_runner_for(spec, prepared, horizon_ms)
