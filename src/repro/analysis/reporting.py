@@ -16,8 +16,10 @@ def format_quantity(value: object) -> str:
     if isinstance(value, float):
         if value == 0:
             return "0"
-        if abs(value) >= 1000 or abs(value) < 0.01:
+        if abs(value) >= 1_000_000 or abs(value) < 0.01:
             return f"{value:.3g}"
+        if abs(value) >= 1000:
+            return f"{value:.6g}"  # every digit of a four-to-six-digit value
         return f"{value:.4g}"
     return str(value)
 

@@ -11,12 +11,15 @@ equations and recovers the full request vector, hence the profile key.
 
 Solving is done over the prime field GF(q) with q = 2^521 − 1 (a Mersenne
 prime comfortably above every value the system can produce), which is exact
-for the 256-bit unknowns and ~30× faster than rational elimination; the
-recovered values are then re-verified against the original equations over
-the integers, so no field-reduction artefact can slip through.  Any
-inconsistent, out-of-range or unverifiable solution proves the candidate
-assignment wrong and rejects it before the (comparatively expensive) AES
-trial decryption.
+for the 256-bit unknowns and ~30× faster than rational elimination.  Only
+the part of the system the structure of C leaves open is eliminated: the
+rows whose identity entry h_i is known, over the unknowns in the R block.
+Each unknown h_i of the identity block then follows from its own row alone,
+h_i = B_i − Σ_j R[i][j]·h_{γ+j}.  The recovered values are re-verified
+against the original equations over the integers, so no field-reduction
+artefact can slip through.  Any inconsistent, out-of-range or unverifiable
+solution proves the candidate assignment wrong and rejects it before the
+(comparatively expensive) AES trial decryption.
 """
 
 from __future__ import annotations
@@ -43,14 +46,6 @@ class HintMatrix:
     beta: int
     r_block: tuple[tuple[int, ...], ...]
     b_vector: tuple[int, ...]
-
-    def row_coefficients(self, i: int) -> list[int]:
-        """Full coefficient row i of C = [I_γ | R]."""
-        row = [0] * (self.gamma + self.beta)
-        row[i] = 1
-        for j, coeff in enumerate(self.r_block[i]):
-            row[self.gamma + j] = coeff
-        return row
 
 
 def build_hint_matrix(
@@ -104,44 +99,58 @@ def solve_candidate(
     candidate's known values or the solution is not a valid hash value --
     both outcomes prove this candidate assignment cannot be the request.
     """
-    width = hint.gamma + hint.beta
+    gamma, beta = hint.gamma, hint.beta
+    width = gamma + beta
     if len(optional_candidate) != width:
         raise ValueError(f"candidate optional segment must have {width} entries")
-    unknown_positions = [i for i, v in enumerate(optional_candidate) if v is None]
-    n_unknown = len(unknown_positions)
-    if n_unknown > hint.gamma:
+    n_unknown = optional_candidate.count(None)
+    if n_unknown > gamma:
         raise HintSolveError(
-            f"{n_unknown} unknowns exceed the {hint.gamma} hint equations"
+            f"{n_unknown} unknowns exceed the {gamma} hint equations"
         )
 
-    # Build the reduced system A x = rhs (mod q) over the unknowns only.
-    col_of = {pos: k for k, pos in enumerate(unknown_positions)}
+    # Row i of C = [I_γ | R] reads h_i + Σ_j R[i][j]·h_{γ+j} = B_i.  A row
+    # whose identity entry h_i is known involves only the unknowns of the
+    # R part: eliminate those rows over those unknowns (mod q).  Each
+    # identity-part unknown then pivots its own row alone, so the full
+    # system is consistent and full-rank exactly when this one is.
+    r_unknowns = [j for j in range(beta) if optional_candidate[gamma + j] is None]
+    r_known = [j for j in range(beta) if optional_candidate[gamma + j] is not None]
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for i in range(hint.gamma):
-        coeffs = hint.row_coefficients(i)
-        row = [0] * n_unknown
-        acc = hint.b_vector[i]
-        for pos, coeff in enumerate(coeffs):
-            if coeff == 0:
-                continue
-            value = optional_candidate[pos]
-            if value is None:
-                row[col_of[pos]] = (row[col_of[pos]] + coeff) % _FIELD_PRIME
-            else:
-                counter.add("MUL256")
-                acc -= coeff * value
-        rows.append(row)
+    for i in range(gamma):
+        own = optional_candidate[i]
+        if own is None:
+            continue
+        r_row = hint.r_block[i]
+        acc = hint.b_vector[i] - own
+        for j in r_known:
+            acc -= r_row[j] * optional_candidate[gamma + j]  # type: ignore[operator]
+        rows.append([r_row[j] % _FIELD_PRIME for j in r_unknowns])
         rhs.append(acc % _FIELD_PRIME)
+    if counter is not NULL_COUNTER:
+        counter.add("MUL256", len(rows) * len(r_known))
 
-    solution = _solve_mod_q(rows, rhs, n_unknown)
-
-    recovered = list(optional_candidate)
     upper = 1 << HASH_BITS
-    for pos, value in zip(unknown_positions, solution):
+    recovered = list(optional_candidate)
+    for j, value in zip(r_unknowns, _solve_mod_q(rows, rhs, len(r_unknowns))):
         if not 0 <= value < upper:
             raise HintSolveError("solution outside the 256-bit hash range")
-        recovered[pos] = value
+        recovered[gamma + j] = value
+    # Identity-part unknowns straight from their own rows, reduced mod q
+    # like every other field value.
+    for i in range(gamma):
+        if recovered[i] is None:
+            r_row = hint.r_block[i]
+            acc = hint.b_vector[i]
+            for j in range(beta):
+                acc -= r_row[j] * recovered[gamma + j]  # type: ignore[operator]
+            if counter is not NULL_COUNTER:
+                counter.add("MUL256", beta)
+            value = acc % _FIELD_PRIME
+            if not 0 <= value < upper:
+                raise HintSolveError("solution outside the 256-bit hash range")
+            recovered[i] = value
     _verify_over_integers(hint, recovered, counter)
     return recovered  # type: ignore[return-value]
 

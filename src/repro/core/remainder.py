@@ -209,14 +209,22 @@ def iter_candidates(
     takes the smallest order-consistent bucket element, empty optional
     buckets become unknowns.  Each further deviation either (a) picks a
     later bucket element or (b) marks a non-empty optional bucket unknown
-    (``robust`` mode only).  Iterative deepening over the deviation count
-    yields plausible candidates first -- crucial when collisions make the
-    full combination space large -- while remaining complete: every valid
-    candidate vector appears at its deviation depth.
+    (``robust`` mode only).  Candidates come out by deviation count, depth
+    first within one count: plausible candidates first -- crucial when
+    collisions make the full combination space large -- while remaining
+    complete: every valid candidate vector appears.
 
-    The *budget* caps search-tree nodes across all depths, protecting an
-    honest participant from maliciously explosive requests (the asymmetry
-    Protocol 2 exploits to expose dictionary attackers).
+    That is the order of iterative deepening over the deviation count, and
+    the *budget* caps the search-tree nodes that deepening visits over all
+    its walks, protecting an honest participant from maliciously explosive
+    requests (the asymmetry Protocol 2 exploits to expose dictionary
+    attackers).  The deepening itself runs only when that cap binds.
+    Otherwise one walk records every leaf with its count, and a stable sort
+    by count gives the same sequence: the walk adds up the m_t+1-c visits
+    the deepening pays for each node of count c, and hands over to the
+    deepening as soon as they exceed ``max_visits``.  Either way the
+    sequence and ``budget.exhausted`` are the deepening's, for every input
+    and every consumer, one that stops early included.
     """
     _check_mode(mode)
     if budget is None:
@@ -224,7 +232,6 @@ def iter_candidates(
     if buckets is None:
         buckets = build_buckets(remainders, participant_values, p, counter)
     m_t = len(remainders)
-    values = participant_values
 
     # Suffix feasibility bounds for pruning: minimum unknowns forced from
     # position i to the end (necessary with empty bucket => infeasible;
@@ -242,43 +249,81 @@ def iter_candidates(
     if infeasible_suffix[0] or forced_unknowns[0] > gamma:
         return
 
-    visits = 0
+    # Unknown-allowance follows Eq. 7 semantics: the *bucket* (not the
+    # order-filtered remainder of it) decides whether the position may be
+    # unknown in strict mode, matching the is_candidate DP exactly.
+    robust = mode == "robust"
+    may_skip = [not necessary_mask[i] and (robust or not buckets[i]) for i in range(m_t)]
+    path: list[int | None] = [None] * m_t
 
-    def dfs(pos: int, last: int, unknowns: int, dev_left: int, acc: tuple[int | None, ...]):
-        nonlocal visits
-        visits += 1
-        if visits > budget.max_visits:
-            budget.exhausted = True
-            return
-        if pos == m_t:
-            if dev_left == 0:  # exactly this depth: no cross-depth duplicates
-                yield CandidateVector(values=acc)
-            return
-        if infeasible_suffix[pos] or unknowns + forced_unknowns[pos] > gamma:
-            return
-        bucket = buckets[pos]
-        necessary = necessary_mask[pos]
-        start = bisect_right(bucket, last)
-        feasible = bucket[start:]
-        for rank, idx in enumerate(feasible):
+    def walk(depth: int):
+        """Visit every node of deviation count <= *depth*, depth first.
+
+        Yields ``(pos, count)`` per node, with the node's assignment in
+        ``path[:pos]``.  An explicit stack, so a request of any length
+        cannot exhaust the interpreter's recursion limit.
+        """
+        stack = [(0, -1, 0, 0, None)]
+        while stack:
+            pos, last, unknowns, cost, value = stack.pop()
+            if pos:
+                path[pos - 1] = value
+            yield pos, cost
+            if pos == m_t or infeasible_suffix[pos] or unknowns + forced_unknowns[pos] > gamma:
+                continue
+            bucket = buckets[pos]
+            start = bisect_right(bucket, last)
+            n_feasible = len(bucket) - start
             if counter is not NULL_COUNTER:
-                counter.add("CMP256")
-            cost = min(rank, 1)  # first feasible pick is free, later picks deviate
-            if cost <= dev_left:
-                yield from dfs(pos + 1, idx, unknowns, dev_left - cost, acc + (values[idx],))
-            if budget.exhausted:
-                return
-        # Unknown-allowance follows Eq. 7 semantics: the *bucket* (not the
-        # order-filtered remainder of it) decides whether the position is
-        # unknown in strict mode, matching the is_candidate DP exactly.
-        allow_unknown = not necessary and (mode == "robust" or not bucket)
-        if allow_unknown and unknowns + 1 <= gamma:
-            cost = 0 if not feasible else 1  # forced unknowns are free
-            if cost <= dev_left:
-                yield from dfs(pos + 1, last, unknowns + 1, dev_left - cost, acc + (None,))
+                counter.add("CMP256", n_feasible)
+            # Children go on the stack in reverse visiting order: the first
+            # feasible pick (free), the later picks, then the unknown (free
+            # only when forced by an empty feasible list).
+            if may_skip[pos] and unknowns < gamma:
+                skip_cost = cost + (n_feasible > 0)
+                if skip_cost <= depth:
+                    stack.append((pos + 1, last, unknowns + 1, skip_cost, None))
+            if n_feasible:
+                if cost < depth:
+                    for idx in reversed(bucket[start + 1:]):
+                        stack.append((pos + 1, idx, unknowns, cost + 1, participant_values[idx]))
+                idx = bucket[start]
+                stack.append((pos + 1, idx, unknowns, cost, participant_values[idx]))
 
+    def ranked_leaves() -> list[tuple[int | None, ...]] | None:
+        """All leaves in deviation order, or None when the deepening's
+        visits would exceed ``max_visits``."""
+        by_cost: list[list[tuple[int | None, ...]]] = [[] for _ in range(m_t + 1)]
+        visits = 0
+        for pos, cost in walk(m_t):
+            visits += m_t + 1 - cost
+            if visits > budget.max_visits:
+                return None
+            if pos == m_t:
+                by_cost[cost].append(tuple(path))
+        return [leaf for leaves in by_cost for leaf in leaves]
+
+    leaves = None if budget.exhausted else ranked_leaves()
+    if leaves is not None:
+        for values in leaves:
+            yield CandidateVector(values=values)
+            if budget.exhausted:  # spent by the consumer: stop, as the deepening does
+                return
+        return
+
+    # Budget-bound: the deepening itself, one walk per deviation count.  A
+    # budget exhausted before it starts ends it after the walk of count 0.
+    visits = 0
     for depth in range(m_t + 1):
-        yield from dfs(0, -1, 0, depth, ())
+        for pos, cost in walk(depth):
+            visits += 1
+            if visits > budget.max_visits:
+                budget.exhausted = True
+                return
+            if pos == m_t and cost == depth:  # no cross-depth duplicates
+                yield CandidateVector(values=tuple(path))
+                if budget.exhausted:
+                    return
         if budget.exhausted:
             return
 

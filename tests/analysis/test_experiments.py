@@ -371,3 +371,15 @@ class TestProfileTool:
         assert (int(frames), int(matches)) == (
             record["frames_sent"], record["matches"]
         )
+        assert "warning:" not in out.getvalue()
+
+    def test_prints_the_warnings_of_a_fragmented_city(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+        import profile_engine
+
+        spec = ScenarioSpec.from_dict({**TINY, "radio_radius": 0.01})
+        out = io.StringIO()
+        profile_engine.profile_spec(spec, top=1, sort="tottime", out=out)
+        header, warning = out.getvalue().splitlines()[:2]
+        assert header.startswith(f"# {spec.name}: ")
+        assert warning.startswith("warning: network is fragmented")

@@ -12,6 +12,15 @@ class TestFormatQuantity:
     def test_small_floats_scientific(self):
         assert "e" in format_quantity(1.2e-5) or "E" in format_quantity(1.2e-5)
 
+    def test_four_to_six_digit_floats_keep_their_digits(self):
+        assert format_quantity(5000.0) == "5000"
+        assert format_quantity(1234.5) == "1234.5"
+        assert format_quantity(-98765.4) == "-98765.4"
+        assert format_quantity(123456.0) == "123456"
+
+    def test_large_floats_scientific(self):
+        assert format_quantity(2.5e6) == "2.5e+06"
+
     def test_zero(self):
         assert format_quantity(0.0) == "0"
 

@@ -132,6 +132,38 @@ class TestHostileRequestProcessing:
         assert outcome.budget.max_visits >= 1
         assert len(outcome.keys) <= outcome.budget.max_candidates
 
+    def test_deep_request_does_not_crash_a_phone(self):
+        # 1200 positions, all optional, gamma = 1199, every remainder one of
+        # the phone's own: a decodable 13,427-byte frame.  No walk may
+        # recurse once per request position: a RecursionError would escape
+        # handle_datagram, and the engine catches only decode errors.
+        from repro.core.agent import SealedBottleAgent
+        from repro.core.hint import HintMatrix
+        from repro.core.matching import process_request
+        from repro.core.wire import encode_request_frame
+
+        agent = SealedBottleAgent("phone", ["music", "hiking", "chess"], rng=random.Random(4))
+        vector = agent._participant.vector
+        m_t = 1200
+        gamma = m_t - 1
+        package = RequestPackage(
+            protocol=2, p=11,
+            remainders=(vector.values[0] % 11,) * m_t,
+            necessary_mask=(False,) * m_t,
+            beta=1,
+            hint=HintMatrix(gamma=gamma, beta=1, r_block=((1,),) * gamma, b_vector=(0,) * gamma),
+            ciphertext=b"\x00" * 32,
+            request_id=b"deep-req", ttl=4, expiry_ms=1 << 40,
+        )
+        frame = encode_request_frame(package)
+        assert len(frame) == 13_427
+
+        outcome = process_request(vector, package)
+        assert outcome.candidate and outcome.budget.exhausted
+
+        agent.handle_datagram(frame, now_ms=0)
+        assert agent._participant.last_outcome.budget.exhausted
+
     def test_expired_hostile_package_ignored(self):
         package = RequestPackage(
             protocol=2, p=11, remainders=(0,), necessary_mask=(True,),

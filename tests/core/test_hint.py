@@ -48,12 +48,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_hint_matrix(_values(rng, 2), gamma=3, rng=rng)
 
-    def test_row_coefficients(self, rng):
-        hint = build_hint_matrix(_values(rng, 5), gamma=2, rng=rng)
-        row0 = hint.row_coefficients(0)
-        assert row0[0] == 1 and row0[1] == 0
-        assert row0[2:] == list(hint.r_block[0])
-
 
 class TestSolve:
     @given(

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.counters import OpCounter
 from repro.core.remainder import (
+    DEFAULT_MAX_VISITS,
     EnumerationBudget,
     bucket_index,
     buckets_for,
@@ -22,6 +26,87 @@ from repro.core.remainder import (
 def _mask(necessary: int, total: int) -> tuple[bool, ...]:
     """First *necessary* positions necessary (values here are pre-sorted)."""
     return tuple(i < necessary for i in range(total))
+
+
+def _deepening_reference(remainders, necessary_mask, gamma, participant_values, p, *, mode, budget):
+    """The deviation order by definition: iterative deepening, one recursive
+    walk of the candidate tree per deviation count, with the visit budget
+    counted across all the walks.  :func:`iter_candidates` must reproduce
+    its sequence and ``budget.exhausted`` exactly."""
+    buckets = build_buckets(remainders, participant_values, p)
+    m_t = len(remainders)
+    forced_unknowns = [0] * (m_t + 1)
+    infeasible_suffix = [False] * (m_t + 1)
+    for i in range(m_t - 1, -1, -1):
+        forced_unknowns[i] = forced_unknowns[i + 1]
+        infeasible_suffix[i] = infeasible_suffix[i + 1]
+        if not buckets[i]:
+            if necessary_mask[i]:
+                infeasible_suffix[i] = True
+            else:
+                forced_unknowns[i] += 1
+    if infeasible_suffix[0] or forced_unknowns[0] > gamma:
+        return
+    visits = 0
+
+    def dfs(pos, last, unknowns, dev_left, acc):
+        nonlocal visits
+        visits += 1
+        if visits > budget.max_visits:
+            budget.exhausted = True
+            return
+        if pos == m_t:
+            if dev_left == 0:
+                yield acc
+            return
+        if infeasible_suffix[pos] or unknowns + forced_unknowns[pos] > gamma:
+            return
+        bucket = buckets[pos]
+        feasible = bucket[bisect_right(bucket, last):]
+        for rank, idx in enumerate(feasible):
+            cost = min(rank, 1)
+            if cost <= dev_left:
+                yield from dfs(pos + 1, idx, unknowns, dev_left - cost, acc + (participant_values[idx],))
+            if budget.exhausted:
+                return
+        allow_unknown = not necessary_mask[pos] and (mode == "robust" or not bucket)
+        if allow_unknown and unknowns + 1 <= gamma:
+            cost = 0 if not feasible else 1
+            if cost <= dev_left:
+                yield from dfs(pos + 1, last, unknowns + 1, dev_left - cost, acc + (None,))
+
+    for depth in range(m_t + 1):
+        yield from dfs(0, -1, 0, depth, ())
+        if budget.exhausted:
+            return
+
+
+def _assert_matches_deepening(remainders, mask, gamma, participant, p, mode, max_visits,
+                              exhausted=False, stop_after=None, spend_after=None):
+    """iter_candidates and the reference agree on the candidates the
+    consumer takes and on ``budget.exhausted`` when it is done."""
+    runs = []
+    for enumerate_ in (_deepening_reference, iter_candidates):
+        budget = EnumerationBudget(max_visits=max_visits, exhausted=exhausted)
+        runs.append(_consume(enumerate_(
+            remainders, mask, gamma, participant, p, mode=mode, budget=budget
+        ), budget, stop_after, spend_after))
+    expected, actual = runs
+    assert actual == expected
+    return expected
+
+
+def _consume(candidates, budget, stop_after=None, spend_after=None):
+    """Take candidates, stopping after *stop_after*, or marking the budget
+    spent after *spend_after* and reading on; return them and the flag."""
+    taken = []
+    for candidate in candidates:
+        taken.append(getattr(candidate, "values", candidate))
+        if len(taken) == spend_after:
+            budget.exhausted = True
+        if stop_after is not None and len(taken) >= stop_after:
+            break
+    return taken, budget.exhausted
 
 
 class TestRemainderVector:
@@ -148,8 +233,15 @@ class TestEnumerateCandidates:
         participant = sorted(11 * i for i in range(1, 40))
         remainders = tuple([0] * 6)
         budget = EnumerationBudget(max_candidates=10**9, max_visits=500)
-        enumerate_candidates(remainders, _mask(0, 6), 5, participant, p, budget=budget)
+        candidates = enumerate_candidates(remainders, _mask(0, 6), 5, participant, p, budget=budget)
         assert budget.exhausted
+        reference = EnumerationBudget(max_visits=500)
+        expected = list(_deepening_reference(
+            remainders, _mask(0, 6), 5, participant, p, mode="robust", budget=reference
+        ))
+        assert reference.exhausted
+        assert expected  # the budget binds after some candidates, not before
+        assert [c.values for c in candidates] == expected
 
     def test_no_candidates_for_stranger(self):
         request = [5, 16, 27]  # all ≡ 5 mod 11
@@ -212,6 +304,76 @@ class TestAgreementProperty:
             fast = is_candidate(remainders, mask, gamma, participant, p, mode=mode)
             full = enumerate_candidates(remainders, mask, gamma, participant, p, mode=mode)
             assert fast == (len(full) > 0)
+
+
+class TestDeviationOrderOracle:
+    """The single walk reproduces iterative deepening exactly: same
+    candidates in the same order, and the same ``budget.exhausted``, for
+    budget-bound and unbounded inputs alike, for budgets spent before the
+    walk, and for consumers that stop early or spend the budget."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_iterative_deepening(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 11]), label="p")
+        m_t = data.draw(st.integers(min_value=0, max_value=8), label="m_t")
+        participant = sorted(data.draw(
+            st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=14, unique=True),
+            label="participant",
+        ))
+        # Mostly remainders the participant owns, so candidates exist.
+        owned = sorted({v % p for v in participant}) or [0]
+        remainders = tuple(data.draw(
+            st.lists(
+                st.sampled_from(owned) | st.integers(min_value=0, max_value=p - 1),
+                min_size=m_t, max_size=m_t,
+            ),
+            label="remainders",
+        ))
+        mask = tuple(data.draw(
+            st.lists(st.sampled_from([False, False, False, True]), min_size=m_t, max_size=m_t),
+            label="necessary_mask",
+        ))
+        gamma = data.draw(st.sampled_from(range(-1, m_t + 1)), label="gamma")
+        mode = data.draw(st.sampled_from(["strict", "robust"]), label="mode")
+        max_visits = data.draw(
+            st.integers(min_value=1, max_value=300)
+            | st.integers(min_value=1, max_value=DEFAULT_MAX_VISITS),
+            label="max_visits",
+        )
+        exhausted = data.draw(st.sampled_from([False] * 7 + [True]), label="exhausted_on_entry")
+        stop_after = data.draw(st.none() | st.integers(min_value=1, max_value=5), label="stop_after")
+        spend_after = data.draw(st.none() | st.integers(min_value=1, max_value=3), label="spend_after")
+
+        _assert_matches_deepening(
+            remainders, mask, gamma, participant, p, mode, max_visits,
+            exhausted, stop_after, spend_after,
+        )
+
+    def test_matches_iterative_deepening_on_seeded_requests(self):
+        # A seeded sweep biased toward collisions, so that budget-bound
+        # walks which already yielded candidates are common, not rare.
+        rng = random.Random(31)
+        bound_after_candidates = 0
+        for _ in range(2500):
+            p = rng.choice([3, 5, 7, 11])
+            m_t = rng.randint(0, 9)
+            participant = sorted(rng.sample(range(300), rng.randint(0, 16)))
+            remainders = tuple(rng.randrange(p) for _ in range(m_t))
+            mask = tuple(rng.random() < 0.15 for _ in range(m_t))
+            gamma = rng.randint(-1, m_t)
+            mode = rng.choice(["strict", "robust"])
+            max_visits = rng.choice([1, 5, 20, 60, 200, 1000, DEFAULT_MAX_VISITS])
+            stop_after = rng.choice([None, None, 1, 3])
+            spend_after = rng.choice([None, None, None, 1, 2])
+            exhausted = rng.random() < 0.05
+            taken, exhausted_after = _assert_matches_deepening(
+                remainders, mask, gamma, participant, p, mode, max_visits,
+                exhausted, stop_after, spend_after,
+            )
+            if taken and exhausted_after and not (exhausted or spend_after):
+                bound_after_candidates += 1
+        assert bound_after_candidates >= 60  # 73 with this seed
 
 
 class TestBucketIndex:

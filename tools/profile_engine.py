@@ -33,7 +33,8 @@ def profile_spec(spec, *, top: int, sort: str, out=sys.stdout) -> pstats.Stats:
     The world comes from :func:`~repro.analysis.experiments.prepare_scenario`
     and the profiled call is :func:`~repro.analysis.experiments.run_prepared`,
     the one ``run_scenario`` times, so the profile describes the workload a
-    record of this spec measures.
+    record of this spec measures.  The world's warnings (a fragmented
+    city, say) follow the header line, as ``repro simulate`` prints them.
     """
     from repro.analysis.experiments import prepare_scenario, run_prepared
 
@@ -57,6 +58,8 @@ def profile_spec(spec, *, top: int, sort: str, out=sys.stdout) -> pstats.Stats:
         f"{agg.matches} matches",
         file=out,
     )
+    for warning in prepared.warnings:
+        print(f"warning: {warning}", file=out)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats(sort).print_stats(top)
