@@ -19,21 +19,23 @@ pipeline:
 4. :func:`run_plan` sweeps every spec and writes two artifacts: a JSON
    file of records and a rendered markdown report.
 
-Determinism: everything a record reports except the ``wall_seconds`` /
-``topology_seconds`` timings and the byte counts contributed by forged
-attacker replies is a pure function of the spec (the spec's ``seed``
-drives population, placement, mobility and protocol RNGs).  Attacker
-*counts* are deterministic too; only the random bytes inside forged
-elements vary.  All simulated times are milliseconds (``*_ms``);
+Determinism: everything a record reports except the ``*_seconds``
+timings, the rates derived from them and the byte counts contributed by
+forged attacker replies is a pure function of the spec (the spec's
+``seed`` drives population, placement, mobility and protocol RNGs).
+Attacker *counts* are deterministic too; only the random bytes inside
+forged elements vary.  All simulated times are milliseconds (``*_ms``);
 throughput is episodes per simulated second.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -67,6 +69,7 @@ __all__ = [
     "churn_horizon",
     "churn_runner_for",
     "load_plan",
+    "prepare_and_run",
     "prepare_scenario",
     "run_prepared",
     "run_scenario",
@@ -605,13 +608,22 @@ class PreparedScenario:
     mean_degree: float
     component_fraction: float
     warnings: list[str]
+    population_seconds: float
     topology_seconds: float
+    network_seconds: float
 
 
 def prepare_scenario(spec: ScenarioSpec) -> PreparedScenario:
-    """Build the population, topology, channel and engine for *spec*."""
+    """Build the population, topology, channel and engine for *spec*.
+
+    Times three phases of the build: the population (participants and
+    initiators), the topology snapshot, and the channel, network and
+    engine construction.
+    """
+    population_start = time.perf_counter()
     rng = random.Random(spec.seed)
     node_ids, participants, launches, attacker_counts = _build_population(spec, rng)
+    population_seconds = time.perf_counter() - population_start
 
     if spec.mobility == "random_waypoint":
         mobility = RandomWaypoint(node_ids, seed=spec.seed)
@@ -637,6 +649,7 @@ def prepare_scenario(spec: ScenarioSpec) -> PreparedScenario:
             f"radio_radius (expected degree = nodes * pi * radius^2)"
         )
 
+    network_start = time.perf_counter()
     channel = ChannelModel(
         drop_rate=spec.loss_rate,
         dup_rate=spec.dup_rate,
@@ -659,6 +672,7 @@ def prepare_scenario(spec: ScenarioSpec) -> PreparedScenario:
             refresh_interval_ms=spec.refresh_interval_ms,
         )
     engine = FriendingEngine(network, **engine_kwargs)
+    network_seconds = time.perf_counter() - network_start
     return PreparedScenario(
         mobility=mobility,
         engine=engine,
@@ -667,7 +681,9 @@ def prepare_scenario(spec: ScenarioSpec) -> PreparedScenario:
         mean_degree=mean_degree,
         component_fraction=component_fraction,
         warnings=warnings,
+        population_seconds=population_seconds,
         topology_seconds=topology_seconds,
+        network_seconds=network_seconds,
     )
 
 
@@ -741,6 +757,39 @@ def run_prepared(spec: ScenarioSpec, prepared: PreparedScenario) -> EngineResult
     return engine.finish()
 
 
+def prepare_and_run(
+    spec: ScenarioSpec,
+    run: Callable[[ScenarioSpec, PreparedScenario], EngineResult] | None = None,
+) -> tuple[PreparedScenario, EngineResult, float]:
+    """Build *spec*'s world, run it, and time the run: ``run_scenario``'s core.
+
+    *run* defaults to :func:`run_prepared`; the engine profiler passes a
+    profiled wrapper of it.  The world is built with the cyclic collector
+    paused, then frozen (``gc.freeze``) before the run, so the run's
+    collections walk only the objects the run allocates -- a world of
+    50k nodes is otherwise re-walked by every full collection.  Pausing
+    alone would hand the deferred traversals to the run.  The world is
+    unfrozen and the collector's enabled state restored on the way out,
+    also when the run raises.  Returns the world, the result and the
+    run's wall seconds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        prepared = prepare_scenario(spec)
+        gc.freeze()
+        if enabled:
+            gc.enable()
+        start = time.perf_counter()
+        result = (run or run_prepared)(spec, prepared)
+        wall_s = time.perf_counter() - start
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+    return prepared, result, wall_s
+
+
 def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     """Run one scenario end to end and return its JSON record.
 
@@ -749,12 +798,10 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     ``wall_seconds``, ``episodes_per_wall_sec``, ``episodes_per_sim_sec``,
     ``sim_duration_ms``, ``matches``, ``latency_p50_ms``,
     ``latency_p95_ms``, ``total_bytes``) plus scenario provenance,
-    including the ``workers`` the run measured.
+    including the ``workers`` the run measured, and the build's
+    ``population_seconds``, ``topology_seconds`` and ``network_seconds``.
     """
-    prepared = prepare_scenario(spec)
-    start = time.perf_counter()
-    result = run_prepared(spec, prepared)
-    wall_s = time.perf_counter() - start
+    prepared, result, wall_s = prepare_and_run(spec)
 
     agg = result.aggregate
     rejected = sum(len(ep.initiator.rejected) for ep in result.episodes)
@@ -783,7 +830,9 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "mean_degree": round(prepared.mean_degree, 2),
         "largest_component_fraction": round(prepared.component_fraction, 4),
         "warnings": prepared.warnings,
+        "population_seconds": round(prepared.population_seconds, 4),
         "topology_seconds": round(prepared.topology_seconds, 4),
+        "network_seconds": round(prepared.network_seconds, 4),
         "wall_seconds": round(wall_s, 4),
         "episodes_per_wall_sec": round(agg.episodes / wall_s, 2) if wall_s > 0 else 0.0,
         "episodes_per_sim_sec": round(agg.episodes_per_sim_sec, 2),

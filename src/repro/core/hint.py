@@ -72,8 +72,9 @@ def build_hint_matrix(
         # B_i = h_opt[i] + sum_j R[i][j] * h_opt[gamma + j]
         acc = optional_values[i]
         for j in range(beta):
-            counter.add("MUL256")
             acc += r_block[i][j] * optional_values[gamma + j]
+        if counter is not NULL_COUNTER:
+            counter.add("MUL256", beta)
         b_vector.append(acc)
     return HintMatrix(gamma=gamma, beta=beta, r_block=r_block, b_vector=tuple(b_vector))
 
@@ -200,7 +201,9 @@ def _verify_over_integers(hint: HintMatrix, recovered: list[int | None], counter
     for i in range(hint.gamma):
         acc = recovered[i]
         for j in range(hint.beta):
-            counter.add("MUL256")
             acc += hint.r_block[i][j] * recovered[hint.gamma + j]  # type: ignore[operator]
+        # Counted before the compare: a failing row still did its multiplies.
+        if counter is not NULL_COUNTER:
+            counter.add("MUL256", hint.beta)
         if acc != hint.b_vector[i]:
             raise HintSolveError("recovered vector fails exact verification")

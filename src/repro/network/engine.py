@@ -54,6 +54,7 @@ holds under both.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
@@ -362,18 +363,7 @@ class FriendingEngine:
         self._pending_by_episode: dict[int, int] = {}
         self._retired: dict[int, EpisodeResult] = {}
         self.churn_metrics = NetworkMetrics()
-        # Event dispatch jump table: one dict lookup on the exact event
-        # type replaces the old isinstance chain on the hot path.  The
-        # engine only ever schedules these concrete types.
-        self._handlers = {
-            DeliveryEvent: self._on_delivery,
-            BroadcastEvent: self._on_broadcast,
-            ReplyHopEvent: self._on_reply_hop,
-            FrameEvent: self._on_frame,
-            RetransmitEvent: self._on_retransmit,
-            SegmentFlushEvent: self._on_segment_flush,
-            TopologyRefreshEvent: self._on_topology_refresh,
-        }
+        self._handlers: dict[type, Callable] | None = self._jump_table()
 
     # -- public API ---------------------------------------------------------
 
@@ -420,6 +410,26 @@ class FriendingEngine:
         self._pending_by_episode = {}
         self._retired = {}
         self.churn_metrics = NetworkMetrics()
+        if self._handlers is None:
+            self._handlers = self._jump_table()
+
+    def _jump_table(self) -> dict[type, Callable]:
+        """Event dispatch: one dict lookup on the exact event type.
+
+        The engine only ever schedules these concrete types.  The bound
+        methods make the engine a reference cycle, so a finished run
+        drops the table (:meth:`_collect_results`) and the next run
+        builds it again.
+        """
+        return {
+            DeliveryEvent: self._on_delivery,
+            BroadcastEvent: self._on_broadcast,
+            ReplyHopEvent: self._on_reply_hop,
+            FrameEvent: self._on_frame,
+            RetransmitEvent: self._on_retransmit,
+            SegmentFlushEvent: self._on_segment_flush,
+            TopologyRefreshEvent: self._on_topology_refresh,
+        }
 
     def _admit_episode(self, episode: _Episode, origin_ms: int) -> None:
         """Open the origin session and schedule one episode's root events.
@@ -431,8 +441,8 @@ class FriendingEngine:
         """
         # The initiator's own node never re-processes its own request:
         # its session exists from the start (hops 0, no parent).
-        origin = self.network.nodes[episode.spec.initiator_node]
-        origin.sessions.open(
+        network = self.network
+        network.node_state(network.nodes[episode.spec.initiator_node]).open(
             episode.rid, parent=None, hops=0,
             expires_ms=episode.package.expiry_ms,
             now_ms=episode.spec.start_ms,
@@ -712,7 +722,13 @@ class FriendingEngine:
         )
 
     def _collect_results(self, first_start: int) -> EngineResult:
-        """Assemble the :class:`EngineResult` after the queue has drained."""
+        """Assemble the :class:`EngineResult` after the queue has drained.
+
+        Ends the run's jump table too: with it gone a finished engine is
+        no reference cycle, so dropping the engine frees its world by
+        reference counting, without waiting for the cyclic collector.
+        """
+        self._handlers = None
         retired = self._retired
         episodes = [
             retired[idx] if ep is None else self._episode_result(ep)
@@ -1024,7 +1040,10 @@ class FriendingEngine:
                 metrics.frames_rejected += 1
                 continue
             node = nodes[node_id]
-            session = node.sessions.lookup(rid)
+            sessions = node.sessions
+            if sessions is None:  # the node's first frame
+                sessions = self.network.node_state(node)
+            session = sessions.lookup(rid)
             if session is not None and seq <= session.last_seq:
                 # The overwhelmingly common flood outcome -- the node has
                 # already served this request and this is just another

@@ -161,13 +161,14 @@ def apply_fault_action(runner, action: FaultAction) -> None:
     else:  # session_pressure
         import hashlib
 
+        network = engine.network
         for node_id in sorted(runner.live):
-            node = engine.network.nodes[node_id]
+            sessions = network.node_state(network.nodes[node_id])
             for i in range(action.count):
                 rid = hashlib.sha256(
                     b"fault.pressure:" + node_id.encode() + i.to_bytes(4, "big")
                 ).digest()[:16]
-                node.sessions.open(
+                sessions.open(
                     rid, parent=None, hops=1,
                     expires_ms=now_ms + action.ttl_ms, now_ms=now_ms,
                 )

@@ -84,7 +84,7 @@ class _GridTopologyMixin:
             self._grid = grid
             self._grid_radius = radius
             self._order = order
-            self._adjacency = grid.adjacency(sort_key=order.__getitem__)
+            self._adjacency = grid.adjacency()
             self._moved.clear()
             return set(self._adjacency)
 

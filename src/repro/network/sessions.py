@@ -30,7 +30,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-__all__ = ["Session", "SessionTable", "OVERFLOW_POLICIES", "DEFAULT_SESSION_LIMIT"]
+__all__ = [
+    "Session", "SessionTable", "OVERFLOW_POLICIES", "DEFAULT_SESSION_LIMIT",
+    "check_session_config",
+]
 
 OVERFLOW_POLICIES = ("evict_oldest", "drop_new")
 DEFAULT_SESSION_LIMIT = 4096
@@ -45,6 +48,20 @@ class Session:
     hops: int
     expires_ms: int
     last_seq: int = 0
+
+
+def check_session_config(max_sessions: int, overflow: str) -> None:
+    """Raise ``ValueError`` unless a table could be built with these settings.
+
+    Lets a network that creates its tables on first use reject a bad
+    configuration when it is built, not mid-run.
+    """
+    if max_sessions < 1:
+        raise ValueError("max_sessions must be >= 1")
+    if overflow not in OVERFLOW_POLICIES:
+        raise ValueError(
+            f"unknown overflow policy {overflow!r}; choose from {OVERFLOW_POLICIES}"
+        )
 
 
 class SessionTable:
@@ -67,12 +84,7 @@ class SessionTable:
         max_sessions: int = DEFAULT_SESSION_LIMIT,
         overflow: str = "evict_oldest",
     ):
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
-        if overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {overflow!r}; choose from {OVERFLOW_POLICIES}"
-            )
+        check_session_config(max_sessions, overflow)
         self.max_sessions = max_sessions
         self.overflow = overflow
         self._sessions: dict[bytes, Session] = {}

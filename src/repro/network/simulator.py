@@ -22,7 +22,11 @@ from dataclasses import dataclass
 from repro.core.protocols import Initiator, MatchRecord, Participant, Reply
 from repro.network.channel_model import ChannelModel, PerfectChannel
 from repro.network.metrics import NetworkMetrics
-from repro.network.sessions import DEFAULT_SESSION_LIMIT, SessionTable
+from repro.network.sessions import (
+    DEFAULT_SESSION_LIMIT,
+    SessionTable,
+    check_session_config,
+)
 
 __all__ = [
     "AdHocNetwork",
@@ -83,18 +87,16 @@ class Node:
     request flooded in on, bounded and TTL-evicted.  The limiter is
     *shared* across episodes -- it models the node's per-neighbour traffic
     budget, not per-request bookkeeping.
+
+    A node starts with neither (both None): a TTL-bounded flood reaches a
+    small part of a city, so :meth:`AdHocNetwork.node_state` creates the
+    pair on first use, and a crash returns it to None.
     """
 
     __slots__ = ("node_id", "participant", "neighbours", "limiter", "sessions")
 
     def __init__(
-        self,
-        node_id: str,
-        participant: Participant | None,
-        neighbours: list[str],
-        limiter: RateLimiter | None = None,
-        session_limit: int = DEFAULT_SESSION_LIMIT,
-        session_overflow: str = "evict_oldest",
+        self, node_id: str, participant: Participant | None, neighbours: list[str]
     ):
         # Node ids are the hottest dict keys in the engine (node lookups,
         # limiter history, channel-fate link encoding): intern them once so
@@ -102,8 +104,8 @@ class Node:
         self.node_id = sys.intern(node_id)
         self.participant = participant
         self.neighbours = [sys.intern(n) for n in neighbours]
-        self.limiter = limiter or RateLimiter(max_events=50, window_ms=10_000)
-        self.sessions = SessionTable(session_limit, session_overflow)
+        self.limiter: RateLimiter | None = None
+        self.sessions: SessionTable | None = None
 
 
 @dataclass
@@ -166,30 +168,37 @@ class AdHocNetwork:
         unknown = set(participants) - set(adjacency)
         if unknown:
             raise ValueError(f"participants reference unknown nodes: {sorted(unknown)}")
+        check_session_config(session_limit, session_overflow)
         self.adjacency = adjacency
         self.hop_latency_ms = hop_latency_ms
         self.processing_latency_ms = processing_latency_ms
         self.rng = rng or random.Random()
         self.channel = channel if channel is not None else PerfectChannel()
-        # Templates reused when churn adds or crash-resets nodes mid-run.
+        # Templates of the per-node state :meth:`node_state` creates.
         self._rate_limit_max = rate_limit.max_events if rate_limit else 50
         self._rate_limit_window = rate_limit.window_ms if rate_limit else 10_000
         self._session_limit = session_limit
         self._session_overflow = session_overflow
         self.nodes = {
-            node: Node(
-                node,
-                participants.get(node),
-                neigh,
-                limiter=RateLimiter(
-                    max_events=rate_limit.max_events if rate_limit else 50,
-                    window_ms=rate_limit.window_ms if rate_limit else 10_000,
-                ),
-                session_limit=session_limit,
-                session_overflow=session_overflow,
-            )
+            node: Node(node, participants.get(node), neigh)
             for node, neigh in adjacency.items()
         }
+
+    def node_state(self, node: Node) -> SessionTable:
+        """*node*'s session table, created with its rate limiter on first use.
+
+        Nodes are built without either (see :class:`Node`); the engine
+        calls this on a node's first frame and on an initiator's node
+        when its episode is admitted, so a run builds state only for the
+        nodes its floods reach.
+        """
+        sessions = node.sessions
+        if sessions is None:
+            sessions = node.sessions = SessionTable(
+                self._session_limit, self._session_overflow
+            )
+            node.limiter = RateLimiter(self._rate_limit_max, self._rate_limit_window)
+        return sessions
 
     def update_topology(self, adjacency: dict[str, list[str]]) -> None:
         """Swap neighbour lists mid-run (mobility refresh); state is kept.
@@ -206,9 +215,6 @@ class AdHocNetwork:
         for node_id, neigh in adjacency.items():
             self.nodes[node_id].neighbours = [sys.intern(n) for n in neigh]
         self.adjacency.update({n: list(v) for n, v in adjacency.items()})
-
-    def _fresh_limiter(self) -> RateLimiter:
-        return RateLimiter(max_events=self._rate_limit_max, window_ms=self._rate_limit_window)
 
     def _link_both_ways(self, node_id: str, neighbours: list[str]) -> None:
         unknown = [n for n in neighbours if n not in self.nodes]
@@ -238,14 +244,7 @@ class AdHocNetwork:
         node_id = sys.intern(node_id)
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} already exists")
-        node = Node(
-            node_id,
-            participant,
-            [],
-            limiter=self._fresh_limiter(),
-            session_limit=self._session_limit,
-            session_overflow=self._session_overflow,
-        )
+        node = Node(node_id, participant, [])
         self.nodes[node_id] = node
         self.adjacency[node_id] = []
         self._link_both_ways(node_id, [sys.intern(n) for n in neighbours])
@@ -278,12 +277,16 @@ class AdHocNetwork:
         self.adjacency[node_id] = []
 
     def reset_node_state(self, node_id: str) -> None:
-        """Lose a node's volatile state (crash semantics): sessions + limiter."""
+        """Lose a node's volatile state (crash semantics): sessions + limiter.
+
+        The node goes back to having none; its next frame meets a fresh,
+        empty table (:meth:`node_state`).
+        """
         node = self.nodes.get(node_id)
         if node is None:
             raise ValueError(f"unknown node {node_id!r}")
-        node.sessions = SessionTable(self._session_limit, self._session_overflow)
-        node.limiter = self._fresh_limiter()
+        node.sessions = None
+        node.limiter = None
 
     def forget_node(self, node_id: str) -> None:
         """Delete a departed node outright (permanent-leave semantics).
@@ -303,8 +306,14 @@ class AdHocNetwork:
         del self.adjacency[node_id]
 
     def prune_rate_limiters(self, now_ms: int) -> int:
-        """Prune every node's per-peer limiter history (soak housekeeping)."""
-        return sum(node.limiter.prune(now_ms) for node in self.nodes.values())
+        """Prune every node's per-peer limiter history (soak housekeeping).
+
+        Nodes without state are skipped, and none is created.
+        """
+        return sum(
+            node.limiter.prune(now_ms)
+            for node in self.nodes.values() if node.limiter is not None
+        )
 
     def evict_expired_sessions(self, now_ms: int) -> int:
         """Sweep expired sessions from every node (soak housekeeping).
@@ -313,10 +322,11 @@ class AdHocNetwork:
         fresh requests keeps its dead sessions indefinitely, which reads
         as a leak over hours of sim time.  The sweep uses the same
         expiry boundary as the on-access path, so it is semantically
-        invisible.
+        invisible.  Nodes without state are skipped, and none is created.
         """
         return sum(
-            node.sessions.evict_expired(now_ms) for node in self.nodes.values()
+            node.sessions.evict_expired(now_ms)
+            for node in self.nodes.values() if node.sessions is not None
         )
 
     def run_friending(

@@ -40,6 +40,11 @@ Adjacency = dict[str, list[str]]
 Positions = dict[str, tuple[float, float]]
 
 
+# Half of a cell's eight touching neighbours: a cell's pairs with the
+# other half are tested when the sweep reaches that neighbour.
+_FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
+
+
 def _node_id(i: int) -> str:
     return f"n{i}"
 
@@ -213,15 +218,42 @@ class SpatialGrid:
             yield (cx - ring, cy + dy)
             yield (cx + ring, cy + dy)
 
-    def adjacency(self, *, sort_key=None) -> Adjacency:
-        """Unit-disk adjacency of every stored node (lists optionally sorted)."""
-        out: Adjacency = {}
-        for node in self._where:
-            neighbours = self.neighbors_within(node)
-            if sort_key is not None:
-                neighbours.sort(key=sort_key)
-            out[node] = neighbours
-        return out
+    def adjacency(self) -> Adjacency:
+        """Unit-disk adjacency of every stored node, rows in insertion order.
+
+        One sweep over the occupied cells tests each cell against itself
+        and its four forward neighbours (:data:`_FORWARD`), which between
+        them cover every unordered pair of touching cells once.  So each
+        pair's distance is tested once and a hit lands in both rows; the
+        rows are then sorted by insertion order, which makes the result
+        independent of the sweep order.
+        """
+        pos = self._pos
+        r = self.radius
+        hypot = math.hypot
+        rows: Adjacency = {node: [] for node in self._where}
+        packed = {
+            cell: [(node, *pos[node], rows[node]) for node in bucket]
+            for cell, bucket in self._cells.items()
+        }
+        for (cx, cy), here in packed.items():
+            for i, (a, ax, ay, row_a) in enumerate(here):
+                for b, bx, by, row_b in here[i + 1:]:
+                    if hypot(ax - bx, ay - by) <= r:
+                        row_a.append(b)
+                        row_b.append(a)
+            for dx, dy in _FORWARD:
+                there = packed.get((cx + dx, cy + dy))
+                if there:
+                    for a, ax, ay, row_a in here:
+                        for b, bx, by, row_b in there:
+                            if hypot(ax - bx, ay - by) <= r:
+                                row_a.append(b)
+                                row_b.append(a)
+        order = {node: i for i, node in enumerate(rows)}
+        for row in rows.values():
+            row.sort(key=order.__getitem__)
+        return rows
 
 
 def naive_adjacency(positions: Mapping[str, tuple[float, float]], radius: float) -> Adjacency:
@@ -254,11 +286,9 @@ def proximity_adjacency(
     costing O(n · k) instead of O(n²).
     """
     grid = SpatialGrid(radius)
-    order: dict[str, int] = {}
-    for i, (node, (x, y)) in enumerate(positions.items()):
+    for node, (x, y) in positions.items():
         grid.insert(node, x, y)
-        order[node] = i
-    return grid.adjacency(sort_key=order.__getitem__)
+    return grid.adjacency()
 
 
 def _connect_components(

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import re
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     ScenarioSpec,
     SpecError,
     load_plan,
+    prepare_scenario,
     render_markdown_report,
     run_plan,
+    run_prepared,
     run_scenario,
 )
 
@@ -216,6 +221,9 @@ class TestRunScenario:
         # The paper's byte accounting (Table VII's communication cost).
         assert record["total_bytes"] == record["bytes_broadcast"] + record["bytes_unicast"]
         assert record["candidates"] >= record["replies"] > 0
+        # End to end: the build's phases are timed beside the run.
+        for key in ("population_seconds", "topology_seconds", "network_seconds"):
+            assert record[key] >= 0.0, key
 
     def test_record_carries_channel_version(self):
         v1 = run_scenario(ScenarioSpec.from_dict({**TINY, "loss_rate": 0.1}))
@@ -318,6 +326,63 @@ class TestRunScenario:
             "refresh_interval_ms": 20,
         }))
         assert record["topology_refreshes"] > 0
+
+
+class TestCollectorScope:
+    """``run_scenario`` builds with the cyclic collector paused and runs
+    with the world frozen, and leaves the collector as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_the_run_sees_a_frozen_world_and_the_callers_collector(
+        self, collector, monkeypatch
+    ):
+        seen = []
+
+        def run(spec, prepared):
+            seen.append((gc.isenabled(), gc.get_freeze_count() > 0))
+            return run_prepared(spec, prepared)
+
+        monkeypatch.setattr(experiments, "run_prepared", run)
+        run_scenario(ScenarioSpec.from_dict(TINY))
+        assert seen == [(collector, True)]
+        assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == 0
+
+    def test_a_run_that_raises_leaves_the_collector_as_it_was(self, collector, monkeypatch):
+        def run(spec, prepared):
+            raise RuntimeError("engine failure")
+
+        monkeypatch.setattr(experiments, "run_prepared", run)
+        with pytest.raises(RuntimeError, match="engine failure"):
+            run_scenario(ScenarioSpec.from_dict(TINY))
+        assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"churn_rate": 2.0, "churn_crash_rate": 0.5, "fault_plan": "blackout"},
+    ], ids=["closed-world", "churn"])
+    def test_a_finished_world_is_freed_without_the_collector(self, extra):
+        """The engine is no reference cycle, so dropping the prepared
+        world frees it by reference counting alone."""
+        spec = ScenarioSpec.from_dict({**TINY, **extra})
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            prepared = prepare_scenario(spec)
+            run_prepared(spec, prepared)
+            engine = weakref.ref(prepared.engine)
+            del prepared
+            assert engine() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestRunPlan:

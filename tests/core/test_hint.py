@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.counters import OpCounter
 from repro.core.exceptions import HintSolveError
 from repro.core.hint import build_hint_matrix, solve_candidate
 
@@ -127,3 +128,29 @@ class TestSolve:
         hint = build_hint_matrix(values, gamma=3, rng=rng)
         candidate = values[:3] + [None, None, None]
         assert solve_candidate(hint, candidate) == values
+
+
+class TestOpCount:
+    def test_mul256_total_of_a_build_a_solve_and_a_failed_verify(self):
+        """The multiplies counted: γ·β to build; for a solve, the
+        eliminated rows' known R terms, β per identity unknown and γ·β to
+        verify; a verify that fails counts the rows it multiplied."""
+        rng = random.Random(11)
+        values = _values(rng, 7)
+        counter = OpCounter()
+        hint = build_hint_matrix(values, gamma=3, rng=rng, counter=counter)
+        assert counter.get("MUL256") == 3 * 4
+
+        candidate: list[int | None] = list(values)
+        candidate[0] = candidate[4] = None  # identity and R unknowns
+        assert solve_candidate(hint, candidate, counter=counter) == values
+        assert counter.get("MUL256") == 12 + (2 * 3 + 4 + 3 * 4)
+
+        # A known value off by the field prime solves consistently mod q,
+        # then fails the integer re-check at its own row (row 1).
+        bogus: list[int | None] = list(values)
+        bogus[3] = None
+        bogus[1] = values[1] + (1 << 521) - 1
+        with pytest.raises(HintSolveError, match="exact verification"):
+            solve_candidate(hint, bogus, counter=counter)
+        assert counter.get("MUL256") == 34 + (3 * 3 + 2 * 4)

@@ -4,11 +4,11 @@ Runs the committed ``examples/specs/metro_1m.json`` point end to end —
 1M static nodes at mean degree ~8, TTL-bounded local floods, v2
 counter-mode fates — and asserts it finishes inside a generous
 wall-clock budget with a healthy, connected outcome and the ``metro_1m``
-golden (14548 frames, 59 matches).  Locally the point takes about two
-minutes and ~3.4 GiB peak RSS (topology build dominates; the floods
-themselves are local), so on top of the ``slow`` marker the test only
-runs with ``METRO_1M=1`` — the same opt-in idiom as the 100k flood bench
-arm (``FLOOD_100K=1``).  It prints one ``PERF_RECORD`` line, so with
+golden (14548 frames, 59 matches).  Locally the point takes about 35 s
+and ~2.9 GiB peak RSS (building the world dominates: topology, then the
+population; the floods themselves are local), so on top of the ``slow``
+marker the test only runs with ``METRO_1M=1`` — the same opt-in idiom as
+the 100k flood bench arm (``FLOOD_100K=1``).  It prints one ``PERF_RECORD`` line, so with
 ``-s`` its output pipes into ``tools/bench_record.py``:
 
     METRO_1M=1 PYTHONPATH=src python -m pytest -q -s -m slow tests/network/test_metro_1m.py
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -52,9 +53,14 @@ def test_metro_1m_completes_within_budget():
         "largest_component_fraction": record["largest_component_fraction"],
         "frames_sent": record["frames_sent"],
         "matches": record["matches"],
+        "population_seconds": record["population_seconds"],
         "topology_seconds": record["topology_seconds"],
+        "network_seconds": record["network_seconds"],
         "wall_seconds": record["wall_seconds"],
         "frames_per_wall_sec": round(record["frames_sent"] / record["wall_seconds"]),
+        "elapsed_seconds": round(elapsed, 2),
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "cpus": os.cpu_count(),
     }))
 

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.mobility import RandomWaypoint
@@ -170,6 +170,21 @@ class TestGridVsNaiveEquivalence:
         ),
         radius=st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
     )
+    # Pairs at exactly distance r, along an axis and on a 3-4-5 diagonal.
+    @example(points=[(0.25, 0.5), (0.5, 0.5), (0.5, 0.25), (0.0, 0.0)], radius=0.25)
+    @example(points=[(0.0, 0.0), (0.375, 0.5), (0.75, 1.0), (0.375, 0.0)], radius=0.625)
+    # Points on cell edges, including the unit square's far corner, and
+    # pairs across a cell's (1, -1) and (-1, 1) diagonals.
+    @example(points=[(x / 8, y / 8) for x in range(9) for y in range(0, 9, 4)],
+             radius=0.125)
+    @example(points=[(0.09, 0.11), (0.11, 0.09), (0.19, 0.21), (0.21, 0.19), (1.0, 1.0)],
+             radius=0.1)
+    # Co-located nodes, at radius 0 and below the floored 1e-3 cell size.
+    @example(points=[(0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (0.5001, 0.5), (0.0, 0.0)],
+             radius=0.0)
+    @example(points=[(0.5, 0.5), (0.5, 0.5), (0.5001, 0.5), (0.50005, 0.5005), (0.5002, 0.5)],
+             radius=1e-4)
+    @example(points=[(0.0, 0.0), (0.0, 0.0), (0.001, 0.0), (0.0009, 0.0009)], radius=1e-4)
     @settings(max_examples=200, deadline=None)
     def test_grid_equals_naive(self, points, radius):
         """Property: grid adjacency is list-for-list the all-pairs result."""

@@ -2,10 +2,11 @@
 
 The profiling harness behind the before/after tables in
 ``docs/performance.md``: builds the population and topology *outside* the
-profiled region with the experiment runner's ``prepare_scenario``
-(exactly like its ``wall_seconds`` accounting), then profiles
-``run_prepared``, the call that ``run_scenario`` times, and prints the
-top-N functions by internal and cumulative time.
+profiled region and profiles ``run_prepared``, the call that
+``run_scenario`` times, through the experiment runner's own
+``prepare_and_run`` (so under the same garbage-collector scope as its
+``wall_seconds`` accounting), and prints the top-N functions by internal
+and cumulative time.
 
 Usage::
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import gc
 import io
 import pstats
 import sys
@@ -30,26 +30,27 @@ import sys
 def profile_spec(spec, *, top: int, sort: str, out=sys.stdout) -> pstats.Stats:
     """Profile one engine run of *spec*; print the report; return the stats.
 
-    The world comes from :func:`~repro.analysis.experiments.prepare_scenario`
-    and the profiled call is :func:`~repro.analysis.experiments.run_prepared`,
-    the one ``run_scenario`` times, so the profile describes the workload a
-    record of this spec measures.  The world's warnings (a fragmented
-    city, say) follow the header line, as ``repro simulate`` prints them.
+    The world is built and run by
+    :func:`~repro.analysis.experiments.prepare_and_run`, as in
+    ``run_scenario``, and the profiled call is
+    :func:`~repro.analysis.experiments.run_prepared`, the one
+    ``run_scenario`` times, so the profile describes the workload a record
+    of this spec measures, collector work included.  The world's warnings
+    (a fragmented city, say) follow the header line, as ``repro
+    simulate`` prints them.
     """
-    from repro.analysis.experiments import prepare_scenario, run_prepared
-
-    prepared = prepare_scenario(spec)
+    from repro.analysis.experiments import prepare_and_run, run_prepared
 
     profiler = cProfile.Profile()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+
+    def profiled(spec, prepared):
         profiler.enable()
-        result = run_prepared(spec, prepared)
-        profiler.disable()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        try:
+            return run_prepared(spec, prepared)
+        finally:
+            profiler.disable()
+
+    prepared, result, _ = prepare_and_run(spec, profiled)
 
     agg = result.aggregate
     print(
